@@ -27,6 +27,8 @@ class Nerve:
     def __post_init__(self):
         seen = set()
         for s in self.simplices:
+            if not s:
+                raise ValueError("the empty simplex () is not a simplex of a nerve")
             if tuple(sorted(s)) != s or len(set(s)) != len(s):
                 raise ValueError(f"simplex {s} must be sorted and duplicate-free")
             if s[0] < 0 or s[-1] >= self.patches:

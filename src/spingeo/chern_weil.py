@@ -21,7 +21,7 @@ from math import comb, factorial, pi as _PI
 
 import sympy
 
-from .spinrep import pfaffian
+from .pfaffian import pfaffian
 
 
 # -- scalar series ------------------------------------------------------------

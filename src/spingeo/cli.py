@@ -3,8 +3,11 @@
 All subcommands emit either a human-readable report or JSON with a
 versioned schema field; randomized checks take an explicit ``--seed`` so
 identical invocations produce identical bytes.  Exit status 0 means every
-check passed its contract, 1 means a check failed, and argparse reports
-usage errors with status 2.
+check passed its contract, 1 means a check failed, and 2 means a usage,
+file or input error (argparse reports its own usage errors with status 2).
+
+Each subcommand imports the layer it runs when it runs, so start-up costs
+only what that subcommand uses: ``classify`` loads no numpy, scipy or sympy.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-import sympy
-
-from . import __version__, acceptance, cech, chern_weil, classification, index_lab, spinrep
+from . import __version__
 
 SCHEMA = "spingeo-report/1"
+
+
+def _error(message: str) -> int:
+    """Report bad input on stderr; the exit status for it is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _emit(payload: dict, fmt: str, human_lines) -> None:
@@ -31,6 +37,8 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from . import classification
+
     if args.complex is not None:
         t = classification.classify_complex(args.complex)
         payload = {"command": "classify", "complex_n": args.complex, "result": t.to_dict()}
@@ -48,6 +56,31 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spinrep(args) -> int:
+    try:
+        results, ok = _spinrep_checks(args)
+    except ValueError as exc:
+        return _error(f"spinrep {args.n}: {exc}")
+    payload = {
+        "command": "spinrep",
+        "n": args.n,
+        "check": args.check,
+        "seed": args.seed,
+        "tolerances": {"relations": 1e-12, "chirality": 1e-12, "berezin": 1e-10},
+        "results": results,
+        "passed": bool(ok),
+    }
+    lines = [f"spinrep n={args.n} check={args.check}: {'PASS' if ok else 'FAIL'}"] + [
+        f"  {k} = {v}" for k, v in results.items()
+    ]
+    _emit(payload, args.format, lines)
+    return 0 if ok else 1
+
+
+def _spinrep_checks(args) -> tuple[dict, bool]:
+    import numpy as np
+
+    from . import spinrep
+
     n = args.n
     results = {}
     ok = True
@@ -82,23 +115,13 @@ def _cmd_spinrep(args) -> int:
         results["berezin_residual"] = worst
         results["berezin_trials"] = args.trials
         ok &= worst <= 1e-10
-    payload = {
-        "command": "spinrep",
-        "n": n,
-        "check": args.check,
-        "seed": args.seed,
-        "tolerances": {"relations": 1e-12, "chirality": 1e-12, "berezin": 1e-10},
-        "results": results,
-        "passed": bool(ok),
-    }
-    lines = [f"spinrep n={n} check={args.check}: {'PASS' if ok else 'FAIL'}"] + [
-        f"  {k} = {v}" for k, v in results.items()
-    ]
-    _emit(payload, args.format, lines)
-    return 0 if ok else 1
+    return results, ok
 
 
-def _load_model(args) -> chern_weil.CurvatureModel:
+def _load_model(args):
+    """The curvature model (a ``chern_weil.CurvatureModel``) named by the arguments."""
+    from . import chern_weil
+
     if args.model_file:
         with open(args.model_file) as fh:
             return chern_weil.model_from_dict(json.load(fh))
@@ -110,13 +133,19 @@ def _load_model(args) -> chern_weil.CurvatureModel:
 
 
 def _cmd_genus(args) -> int:
+    import sympy
+
+    from . import chern_weil
+
     try:
         model = _load_model(args)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: cannot load curvature model: {exc}", file=sys.stderr)
-        return 2
-    value = chern_weil.genus_eval(args.name, model.F)
-    total = chern_weil.integrate_top(value, model)
+        return _error(f"cannot load curvature model: {exc}")
+    try:
+        value = chern_weil.genus_eval(args.name, model.F)
+        total = chern_weil.integrate_top(value, model)
+    except ValueError as exc:
+        return _error(f"genus {args.name} on {model.name}: {exc}")
     payload = {
         "command": "genus",
         "genus": args.name,
@@ -134,6 +163,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_cech(args) -> int:
+    from . import cech
+
     if args.nerve in cech.BUILTIN_NERVES:
         nerve = cech.BUILTIN_NERVES[args.nerve]()
     else:
@@ -141,8 +172,7 @@ def _cmd_cech(args) -> int:
             with open(args.nerve) as fh:
                 nerve = cech.nerve_from_dict(json.load(fh))
         except (OSError, KeyError, ValueError) as exc:
-            print(f"error: cannot load nerve: {exc}", file=sys.stderr)
-            return 2
+            return _error(f"cannot load nerve: {exc}")
     dims = {f"H{k}": cech.cohomology_dim(nerve, k) for k in range(3)}
     payload = {
         "command": "cech",
@@ -161,8 +191,7 @@ def _cmd_cech(args) -> int:
                     data = json.load(fh)
                 values = {tuple(sorted(s)): v for s, v in data}
             except (OSError, ValueError) as exc:
-                print(f"error: cannot load lifts: {exc}", file=sys.stderr)
-                return 2
+                return _error(f"cannot load lifts: {exc}")
         else:
             values = {}
         lifts = cech.Cochain(nerve, 1, values)
@@ -184,47 +213,51 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_index(args) -> int:
-    ts = _parse_floats(args.t)
-    payload: dict = {"command": "index", "model": args.model, "t": ts}
-    lines = []
-    ok = True
-    if args.model == "dlambda":
-        res = index_lab.dlambda_index(args.lam, args.cutoff)
-        payload.update(res)
-        payload["lambda"] = args.lam
-        payload["cutoff"] = args.cutoff
-        lines.append(
-            f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {res['kernel_dim']},"
-            f" cokernel {res['cokernel_dim']}, index {res['index']}"
-        )
-        ok = res["index"] == 0
-    elif args.model in ("sphere2", "torus2"):
-        rows = []
-        for t in ts:
-            val = index_lab.hodge_supertrace(args.model, t, args.lmax)
-            tau = index_lab.sphere2_tail_bound(t, args.lmax) if args.model == "sphere2" else 1e-12
-            rows.append({"t": t, "supertrace": val, "tail_bound": tau})
-            lines.append(f"{args.model} t={t} lmax={args.lmax}: str = {val!r} (tail ≤ {tau:.2e})")
-        payload["lmax"] = args.lmax
-        payload["rows"] = rows
-        target = 2.0 if args.model == "sphere2" else 0.0
-        ok = all(abs(r["supertrace"] - target) <= max(r["tail_bound"], 1e-12) for r in rows)
-        payload["inferred_index"] = int(target)
-    elif args.model == "torus_dirac":
-        delta = tuple(_parse_floats(args.delta))
-        model = index_lab.torus_dirac_model(delta, args.cutoff)
-        rows = [{"t": t, "supertrace": model.supertrace(t)} for t in ts]
-        payload["delta"] = list(delta)
-        payload["cutoff"] = args.cutoff
-        payload["rows"] = rows
-        payload["kernel_dim"] = model.kernel_dim()
-        for r in rows:
-            lines.append(f"torus Dirac δ={delta} t={r['t']}: str = {r['supertrace']!r}")
-        lines.append(f"kernel dimension: {model.kernel_dim()}")
-        ok = all(abs(r["supertrace"]) <= 1e-12 for r in rows)
-    else:
-        print(f"error: unknown index model {args.model!r}", file=sys.stderr)
-        return 2
+    from . import index_lab
+
+    try:
+        ts = _parse_floats(args.t)
+        payload: dict = {"command": "index", "model": args.model, "t": ts}
+        lines = []
+        ok = True
+        if args.model == "dlambda":
+            res = index_lab.dlambda_index(args.lam, args.cutoff)
+            payload.update(res)
+            payload["lambda"] = args.lam
+            payload["cutoff"] = args.cutoff
+            lines.append(
+                f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {res['kernel_dim']},"
+                f" cokernel {res['cokernel_dim']}, index {res['index']}"
+            )
+            ok = res["index"] == 0
+        elif args.model in ("sphere2", "torus2"):
+            rows = []
+            for t in ts:
+                val = index_lab.hodge_supertrace(args.model, t, args.lmax)
+                tau = index_lab.sphere2_tail_bound(t, args.lmax) if args.model == "sphere2" else 1e-12
+                rows.append({"t": t, "supertrace": val, "tail_bound": tau})
+                lines.append(f"{args.model} t={t} lmax={args.lmax}: str = {val!r} (tail ≤ {tau:.2e})")
+            payload["lmax"] = args.lmax
+            payload["rows"] = rows
+            target = 2.0 if args.model == "sphere2" else 0.0
+            ok = all(abs(r["supertrace"] - target) <= max(r["tail_bound"], 1e-12) for r in rows)
+            payload["inferred_index"] = int(target)
+        elif args.model == "torus_dirac":
+            delta = tuple(_parse_floats(args.delta))
+            model = index_lab.torus_dirac_model(delta, args.cutoff)
+            rows = [{"t": t, "supertrace": model.supertrace(t)} for t in ts]
+            payload["delta"] = list(delta)
+            payload["cutoff"] = args.cutoff
+            payload["rows"] = rows
+            payload["kernel_dim"] = model.kernel_dim()
+            for r in rows:
+                lines.append(f"torus Dirac δ={delta} t={r['t']}: str = {r['supertrace']!r}")
+            lines.append(f"kernel dimension: {model.kernel_dim()}")
+            ok = all(abs(r["supertrace"]) <= 1e-12 for r in rows)
+        else:
+            return _error(f"unknown index model {args.model!r}")
+    except ValueError as exc:
+        return _error(f"index --model {args.model}: {exc}")
     if args.format == "csv":
         print("t,supertrace")
         for r in payload.get("rows", []):
@@ -236,6 +269,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(seed=args.seed)
     payload = {
         "command": "selftest",

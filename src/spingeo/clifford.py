@@ -309,7 +309,9 @@ class Multivector:
         return self.signature == other.signature and (self - other).terms == {}
 
     def __hash__(self):
-        return hash((self.signature, frozenset((b, str(c)) for b, c in self.terms.items())))
+        # equal multivectors share their blade support whatever the
+        # coefficient types (1, Fraction(1), QI(1), 1+0j), so hash only that
+        return hash((self.signature, frozenset(self.terms)))
 
     # -- grading -----------------------------------------------------------
 
@@ -470,9 +472,14 @@ def format_mv(mv: Multivector) -> str:
     return " ".join(parts)
 
 
+#: An unsigned rational or float as ``format_mv`` prints it: ``3``, ``3/2``,
+#: ``0.25``, ``1e-05``.  An exponent needs its sign, as ``repr`` prints it,
+#: so that ``3e1`` still reads as ``3*e1``.
+_NUMBER = r"\d+(?:\.\d+)?(?:e[+-]\d+)?(?:/\d+)?"
+
 _TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?P<coeff>(?:\d+(?:\.\d+)?(?:/\d+)?\*?)?i|\d+(?:\.\d+)?(?:/\d+)?|\((?:[^()]*)\))?
+    rf"""\s*(?P<sign>[+-])?\s*
+        (?P<coeff>(?:{_NUMBER}\*?)?i|{_NUMBER}|\((?:[^()]*)\))?
         \*?
         (?P<blade>(?:e\d+)+)?\s*""",
     re.VERBOSE,
@@ -483,7 +490,7 @@ def _parse_coeff(text: str) -> QI:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1]
-        m = re.fullmatch(r"\s*(-?[\d./]+)\s*([+-])\s*([\d./]*)\s*\*?\s*i\s*", inner)
+        m = re.fullmatch(rf"\s*(-?{_NUMBER})\s*([+-])\s*({_NUMBER})?\s*\*?\s*i\s*", inner)
         if not m:
             raise ValueError(f"cannot parse coefficient {text!r}")
         re_part = Fraction(m.group(1))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .spinrep import SpinorSpace
 
@@ -214,6 +213,8 @@ def oscillator_eigen_expansion(t: float, x: float, y: float, a: float, terms: in
     -ψ'' + a²x²ψ = a(2k+1)ψ; this series is the independent oracle for
     :func:`mehler_kernel`.
     """
+    from scipy.special import eval_hermite
+
     if t <= 0 or a <= 0:
         raise ValueError("t and a must be positive")
     s = math.sqrt(a)

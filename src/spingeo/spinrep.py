@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import Multivector, Signature
+from .pfaffian import pfaffian  # re-exported: spingeo.spinrep.pfaffian
 
 #: The constant kappa(n) in str^{E/S} F = kappa(n) * tr(gamma c(omega) F).
 #: Pinned to 2^{-n/2} by a dense n = 2 computation of both sides of the
@@ -207,74 +207,46 @@ def relative_supertrace(F: np.ndarray, module: ExteriorModule) -> complex:
 
 # -- Berezin / Pfaffian -------------------------------------------------------
 
-def pfaffian(a) -> complex:
-    """Pfaffian of an antisymmetric matrix by recursive expansion.
+#: |sin(θ/2)| at or below this, for θ ≥ 2π, is a pole of (θ/2)/sin(θ/2).
+_POLE_TOL = 1e-12
 
-    Works over any commutative coefficient ring (floats, Fractions, form
-    polynomials); intended for the small matrices appearing here.
+
+def ahat_matrix_det_sqrt(B: np.ndarray, atol: float = 1e-12) -> float:
+    """det^{1/2} Â(B) for a real antisymmetric matrix, in closed form.
+
+    With Â(x) = (x/2)/sinh(x/2) and the eigenvalues of B written ±iθ_j
+    (θ_j² are the eigenvalues of -B² = BᵀB, each appearing twice),
+    Â(±iθ_j) = (θ_j/2)/sin(θ_j/2), so the square root that is analytic in B
+    with value 1 at B = 0 is Π_j (θ_j/2)/sin(θ_j/2).  Raises ``ValueError``
+    at its poles, sin(θ_j/2) = 0 with θ_j ≠ 0.
     """
-    rows = [list(r) for r in a]
-    m = len(rows)
-    if m % 2:
-        raise ValueError("Pfaffian needs even size")
-
-    def rec(idx):
-        if not idx:
-            return 1
-        i0 = idx[0]
-        total = 0
-        for pos, j in enumerate(idx[1:], start=1):
-            rest = idx[1:pos] + idx[pos + 1 :]
-            sign = -1 if (pos - 1) % 2 else 1
-            term = rows[i0][j] * rec(rest)
-            total = total + (term if sign > 0 else -term)
-        return total
-
-    return rec(tuple(range(m)))
-
-
-def _ahat_scalar_coeffs(order: int) -> list[Fraction]:
-    """Taylor coefficients of (x/2)/sinh(x/2) up to x^order (exact)."""
-    from math import factorial
-
-    # sinh(x/2)/(x/2) = sum (x/2)^{2k} / (2k+1)!
-    series = [Fraction(0)] * (order + 1)
-    for k in range(0, order // 2 + 1):
-        series[2 * k] = Fraction(1, factorial(2 * k + 1) * 4**k)
-    # invert the power series (constant term 1)
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = Fraction(1)
-    for m in range(1, order + 1):
-        inv[m] = -sum(series[j] * inv[m - j] for j in range(1, m + 1))
-    return inv
-
-
-def ahat_matrix_det_sqrt(B: np.ndarray, order: int = 80) -> complex:
-    """det^{1/2} Â(B) for an antisymmetric matrix via a truncated power series.
-
-    Â(x) = (x/2)/sinh(x/2) applied as an even matrix power series; the
-    square root takes the branch with value 1 at B = 0 (valid when no
-    eigenvalue pair reaches the sinh singularity, i.e. spectral radius of B
-    below 2π).
-    """
-    coeffs = _ahat_scalar_coeffs(order)
+    B = np.asarray(B, dtype=float)
     m = B.shape[0]
-    acc = np.zeros((m, m), dtype=complex)
-    power = np.eye(m, dtype=complex)
-    for k in range(0, order + 1, 2):
-        acc += float(coeffs[k]) * power
-        power = power @ B @ B
-    det = np.linalg.det(acc)
-    return complex(np.sqrt(det))
+    if B.shape != (m, m):
+        raise ValueError("B must be square")
+    if m and np.max(np.abs(B + B.T)) > atol:
+        raise ValueError("B must be antisymmetric")
+    mu = np.linalg.eigvalsh(B.T @ B)  # ascending: the θ_j² in pairs, one extra 0 if m is odd
+    if m % 2:
+        mu = mu[1:]
+    theta = np.sqrt(np.clip((mu[0::2] + mu[1::2]) / 2, 0.0, None))
+    poles = theta[(theta > np.pi) & (np.abs(np.sin(theta / 2)) <= _POLE_TOL)]
+    if poles.size:
+        raise ValueError(f"det^1/2 Â(B) has a pole: sin(θ/2) = 0 at θ = {poles[0]:.12g}")
+    return float(np.prod(1.0 / np.sinc(theta / (2 * np.pi))))
 
 
 def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex, complex]:
     """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A).
 
     The left side is a dense matrix exponential on the 2^n-dimensional
-    exterior module; the right side uses the Pfaffian and the power-series
-    square-rooted determinant.  Returns ``(lhs, rhs)``.
+    exterior module; the right side uses the Pfaffian and the closed form of
+    :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when A has
+    the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises ``ValueError``
+    where the right side has a pole.
     """
+    import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or n % 2:
@@ -288,7 +260,7 @@ def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex,
             if A[i - 1, j - 1] != 0:
                 quad += 0.5 * A[i - 1, j - 1] * (module.c_tilde(i) @ module.c_tilde(j))
     lhs = relative_supertrace(scipy.linalg.expm(quad), module)
-    rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(-2.0 * A)
+    rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(-2.0 * A, 2 * atol)
     return lhs, complex(rhs)
 
 

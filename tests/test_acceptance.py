@@ -6,6 +6,8 @@ enforces the criterion's wall-clock limit.
 
 import time
 
+import pytest
+
 from spingeo import acceptance
 
 
@@ -41,6 +43,13 @@ def test_criterion_05_twisted_adjoint():
 
 def test_criterion_06_berezin_pfaffian():
     _run(acceptance.criterion_berezin, 60, seed=0)
+
+
+@pytest.mark.parametrize("seed", [42, 51, 53])
+def test_criterion_06_berezin_pfaffian_large_spectral_radius(seed):
+    # these seeds draw a -2A with spectral radius 4.8-5.2, close to the 2π
+    # where a power series for det^1/2 Â stops converging
+    _run(acceptance.criterion_berezin, 60, seed=seed)
 
 
 def test_criterion_07_genus_expansions():

@@ -44,6 +44,10 @@ class TestNerve:
         with pytest.raises(ValueError):
             Nerve(3, ((0, 1, 2),))
 
+    def test_rejects_empty_simplex(self):
+        with pytest.raises(ValueError, match=r"empty simplex \(\)"):
+            make_nerve(2, [()])
+
     def test_make_nerve_closes_downward(self):
         nerve = make_nerve(3, [(0, 1, 2)])
         assert set(nerve.simplices_of_dim(1)) == {(0, 1), (0, 2), (1, 2)}

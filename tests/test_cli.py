@@ -53,6 +53,13 @@ class TestSpinrep:
         assert data["passed"] is True
         assert data["results"]["berezin_residual"] <= 1e-10
 
+    def test_odd_n_exits_2(self, capsys):
+        code = main(["spinrep", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "even" in captured.err
+        assert captured.out == ""
+
 
 class TestGenus:
     def test_euler_torus_is_zero(self, capsys):
@@ -72,6 +79,16 @@ class TestGenus:
     def test_missing_model_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, ["genus", "--model-file", "/nonexistent/model.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["euler", "ahat"])
+    def test_non_antisymmetric_model_file_exits_2(self, capsys, tmp_path, name):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 2, [[[1, 2], "1"]]]], "volume": "1"}))
+        code = main(["genus", "--name", name, "--model-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "antisymmetric" in captured.err
+        assert captured.out == ""
 
 
 class TestCech:
@@ -127,6 +144,13 @@ class TestIndex:
     def test_unknown_model_exits_2(self, capsys):
         code, _ = run_cli(capsys, ["index", "--model", "klein"])
         assert code == 2
+
+    def test_bad_spin_structure_exits_2(self, capsys):
+        code = main(["index", "--model", "torus_dirac", "--delta", "0.3,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "offsets" in captured.err
+        assert captured.out == ""
 
 
 class TestSelftest:

@@ -1,0 +1,59 @@
+"""Each CLI entry point loads only the heavy dependencies it uses.
+
+Every case runs in a fresh interpreter, so modules imported by other tests
+cannot hide an eager import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+HEAVY = ("numpy", "scipy", "sympy")
+
+PROBE = """
+import contextlib, io, json, sys
+import spingeo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = spingeo.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules)}))
+""" % (HEAVY,)
+
+
+def loaded_after(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0, proc.stderr
+    return set(report["loaded"])
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], set()),
+        (["classify", "3", "0"], set()),
+        (["cech", "--nerve", "torus", "--w2"], {"numpy"}),
+        (["index", "--model", "sphere2"], {"numpy"}),
+        (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], {"numpy"}),
+        (["genus", "--name", "ahat", "--model", "sphere4"], {"sympy"}),
+    ],
+)
+def test_heavy_imports_per_subcommand(argv, expected):
+    assert loaded_after(argv) == expected
+
+
+def test_spinrep_loads_no_sympy():
+    assert "sympy" not in loaded_after(["spinrep", "4", "--check", "all"])

@@ -10,6 +10,7 @@ from spingeo.clifford import Multivector, Signature
 from spingeo.spinrep import (
     ExteriorModule,
     SpinorSpace,
+    ahat_matrix_det_sqrt,
     berezin_supertrace_exp,
     chirality_split,
     lie_iso,
@@ -252,6 +253,34 @@ class TestBerezin:
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             berezin_supertrace_exp(np.eye(2))
+
+    @pytest.mark.parametrize("lam", [3.0, 3.5])
+    def test_beyond_the_first_sinh_zero(self, lam):
+        # spectral radius of -2A is 2λ ≥ 2π: a power series in B diverges here
+        A = np.array([[0.0, lam], [-lam, 0.0]])
+        lhs, rhs = berezin_supertrace_exp(A)
+        want = -2j * math.sin(lam)
+        assert abs(lhs - want) < 1e-10
+        assert abs(rhs - want) < 1e-10
+
+    def test_pole_rejected(self):
+        # λ = π puts θ = 2π, where sin(θ/2) = 0
+        A = np.array([[0.0, math.pi], [-math.pi, 0.0]])
+        with pytest.raises(ValueError, match="pole"):
+            ahat_matrix_det_sqrt(-2.0 * A)
+        with pytest.raises(ValueError, match="pole"):
+            berezin_supertrace_exp(A)
+
+    def test_det_sqrt_closed_form_blocks(self):
+        # block-diagonal B with rotation angles θ_j, conjugated by a rotation
+        thetas = [0.0, 1.3, 7.5]
+        B = np.zeros((7, 7))
+        for j, th in enumerate(thetas[1:]):
+            B[2 * j, 2 * j + 1], B[2 * j + 1, 2 * j] = th, -th
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(7, 7)))
+        want = math.prod((th / 2) / math.sin(th / 2) for th in thetas[1:])
+        assert abs(ahat_matrix_det_sqrt(q @ B @ q.T) - want) < 1e-10 * abs(want)
+        assert ahat_matrix_det_sqrt(np.zeros((3, 3))) == 1.0
 
     def test_pfaffian_small_cases(self):
         assert pfaffian([[0, 3], [-3, 0]]) == 3
