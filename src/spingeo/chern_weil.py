@@ -21,6 +21,7 @@ from math import comb, factorial, pi as _PI
 
 import sympy
 
+from .clifford import _sign_mask
 from .pfaffian import pfaffian
 
 
@@ -115,19 +116,6 @@ def genus_expand(name: str) -> dict[str, Fraction]:
 
 # -- the truncated exterior coefficient ring ----------------------------------
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _interleave_sign(a: int, b: int) -> int:
-    swaps = 0
-    rest = a >> 1
-    while rest:
-        swaps += _popcount(rest & b)
-        rest >>= 1
-    return -1 if swaps & 1 else 1
-
-
 def _is_zero(c) -> bool:
     if isinstance(c, sympy.Basic):
         return bool(sympy.expand(c) == 0)
@@ -200,13 +188,13 @@ class FormPoly:
         if not isinstance(other, FormPoly):
             return FormPoly(self.m, {mask: c * other for mask, c in self.terms.items()})
         o = self._coerce(other)
+        right = [(mb, cb, _sign_mask(mb, 0, self.m)) for mb, cb in o.terms.items()]
         terms: dict[int, object] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
+            for mb, cb, sign_mask in right:
                 if ma & mb:
                     continue
-                sign = _interleave_sign(ma, mb)
-                contrib = ca * cb if sign > 0 else -(ca * cb)
+                contrib = -(ca * cb) if (ma & sign_mask).bit_count() & 1 else ca * cb
                 mask = ma | mb
                 terms[mask] = terms.get(mask, 0) + contrib
         return FormPoly(self.m, terms)
@@ -234,7 +222,7 @@ class FormPoly:
         return self.terms.get(0, 0)
 
     def degree_part(self, d: int) -> "FormPoly":
-        return FormPoly(self.m, {mask: c for mask, c in self.terms.items() if _popcount(mask) == d})
+        return FormPoly(self.m, {mask: c for mask, c in self.terms.items() if mask.bit_count() == d})
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (float mode residuals)."""
@@ -253,7 +241,7 @@ class FormPoly:
         if not self.terms:
             return "FormPoly(0)"
         bits = []
-        for mask in sorted(self.terms, key=lambda s: (_popcount(s), s)):
+        for mask in sorted(self.terms, key=lambda s: (s.bit_count(), s)):
             name = "1" if mask == 0 else "e" + "".join(
                 str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1
             )
@@ -366,6 +354,8 @@ def form_det(M: FormMatrix) -> FormPoly:
         acc = FormPoly(M.m)
         r0 = rows[0]
         for pos, c in enumerate(cols):
+            if not M.entries[r0][c].terms:
+                continue  # a zero entry's cofactor term is zero
             minor = det(rows[1:], cols[:pos] + cols[pos + 1 :])
             term = M.entries[r0][c] * minor
             acc = acc + (term if pos % 2 == 0 else -term)

@@ -17,7 +17,10 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
@@ -113,14 +116,25 @@ class QI:
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return complex(self) == other
-        return self.re == o.re and self.im == o.im
+        if o is not None:
+            return self.re == o.re and self.im == o.im
+        if isinstance(other, numbers.Rational):
+            return self.im == 0 and self.re == other
+        if isinstance(other, numbers.Complex):
+            # exact, as Fraction compares with float: QI(1/3) != 1/3
+            other = complex(other)
+            return self.re == other.real and self.im == other.imag
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # CPython's complex hash, hash(re) + imag * hash(im) wrapped to the
+        # hash width, so a QI hashes like any int, Fraction, float or
+        # complex it equals
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) & ((1 << width) - 1)
+        if h >= 1 << (width - 1):
+            h -= 1 << width
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -151,8 +165,21 @@ QI_I = QI(0, 1)
 Coefficient = Union[QI, int, Fraction, complex, float]
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _sign_mask(b: int, neg: int, n: int) -> int:
+    """Mask ``m`` with e_A * e_B = (-1)^popcount(A & m) * e_(A xor B).
+
+    Bit i of ``m`` is the parity of B's generators below e_(i+1) (the
+    transpositions that move e_(i+1) past them) xor whether e_(i+1) is in B
+    and in ``neg``, the generators squaring to -1.  ``neg = (1 << p) - 1``
+    gives the Clifford product of Cl(p, q); ``neg = 0`` gives the exterior
+    product's sign on disjoint monomials.
+    """
+    m = b << 1
+    shift = 1
+    while shift < n:  # prefix xor: bit i becomes the parity of bits below i
+        m ^= m << shift
+        shift <<= 1
+    return (m & ((1 << n) - 1)) ^ (b & neg)
 
 
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -166,26 +193,51 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     limit = (1 << sig.n) - 1 if sig.n < 64 else ~0
     if a & ~limit or b & ~limit:
         raise ValueError(f"blade uses generators beyond Cl({sig.p},{sig.q})")
-    # transpositions: pairs (i in a, j in b) with i > j
-    swaps = 0
-    rest = a >> 1
-    while rest:
-        swaps += _popcount(rest & b)
-        rest >>= 1
-    sign = -1 if swaps & 1 else 1
-    common = a & b
-    i = 1
-    while common:
-        if common & 1:
-            sign *= sig.square(i)
-        common >>= 1
-        i += 1
-    return sign, a ^ b
+    odd = (a & _sign_mask(b, (1 << sig.p) - 1, sig.n)).bit_count() & 1
+    return (-1 if odd else 1), a ^ b
 
 
 def _blade_reversal_sign(blade: int) -> int:
-    k = _popcount(blade)
+    k = blade.bit_count()
     return -1 if (k * (k - 1) // 2) & 1 else 1
+
+
+def _gaussian_numerators(coeffs: Iterable[QI]) -> tuple[int, list[tuple[int, int]]]:
+    """A common denominator d and the integer pairs (d*re, d*im) of coeffs."""
+    coeffs = list(coeffs)
+    d = math.lcm(*(f.denominator for c in coeffs for f in (c.re, c.im)))
+    return d, [
+        (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
+        for c in coeffs
+    ]
+
+
+def _gaussian_product(left: dict[int, QI], right: list[tuple[int, QI, int]]) -> dict[int, QI]:
+    """Terms of the product of two all-QI multivectors, summed on integers.
+
+    ``right`` holds (blade, coefficient, sign mask) triples.  Both factors
+    are scaled to Gaussian-integer numerators over a common denominator, so
+    the double loop multiplies and adds plain ints and one QI is built per
+    output blade; the values equal those of the Fraction loop exactly.
+    """
+    da, lnum = _gaussian_numerators(left.values())
+    db, rnum = _gaussian_numerators(cb for _, cb, _ in right)
+    rows = [(bb, br, bi, m) for (bb, _, m), (br, bi) in zip(right, rnum)]
+    re_acc: dict[int, int] = {}
+    im_acc: dict[int, int] = {}
+    for ba, (ar, ai) in zip(left, lnum):
+        for bb, br, bi, m in rows:
+            blade = ba ^ bb
+            real = ar * br - ai * bi
+            imag = ar * bi + ai * br
+            if (ba & m).bit_count() & 1:
+                real, imag = -real, -imag
+            re_acc[blade] = re_acc.get(blade, 0) + real
+            im_acc[blade] = im_acc.get(blade, 0) + imag
+    d = da * db
+    return {
+        blade: QI(Fraction(real, d), Fraction(im_acc[blade], d)) for blade, real in re_acc.items()
+    }
 
 
 class Multivector:
@@ -278,13 +330,18 @@ class Multivector:
         if not isinstance(other, Multivector):
             return Multivector(self.signature, {b: c * other for b, c in self.terms.items()})
         self._check_sig(other)
+        sig = self.signature
+        neg = (1 << sig.p) - 1
+        right = [(bb, cb, _sign_mask(bb, neg, sig.n)) for bb, cb in other.terms.items()]
+        if all(isinstance(c, QI) for t in (self.terms, other.terms) for c in t.values()):
+            return Multivector(sig, _gaussian_product(self.terms, right))
         terms: dict[int, Coefficient] = {}
         for ba, ca in self.terms.items():
-            for bb, cb in other.terms.items():
-                sign, blade = blade_mul(ba, bb, self.signature)
-                contrib = ca * cb if sign > 0 else -(ca * cb)
+            for bb, cb, m in right:
+                blade = ba ^ bb
+                contrib = -(ca * cb) if (ba & m).bit_count() & 1 else ca * cb
                 terms[blade] = terms.get(blade, 0) + contrib
-        return Multivector(self.signature, terms)
+        return Multivector(sig, terms)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -316,10 +373,10 @@ class Multivector:
     # -- grading -----------------------------------------------------------
 
     def grades(self) -> set[int]:
-        return {_popcount(b) for b in self.terms}
+        return {b.bit_count() for b in self.terms}
 
     def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.signature, {b: c for b, c in self.terms.items() if _popcount(b) == k})
+        return Multivector(self.signature, {b: c for b, c in self.terms.items() if b.bit_count() == k})
 
     def parity(self) -> str:
         gs = {g % 2 for g in self.grades()}
@@ -336,7 +393,7 @@ class Multivector:
         return not self.terms
 
     def max_grade(self) -> int:
-        return max((_popcount(b) for b in self.terms), default=0)
+        return max((b.bit_count() for b in self.terms), default=0)
 
     # -- involutions -------------------------------------------------------
 
@@ -344,7 +401,7 @@ class Multivector:
         """The algebra automorphism that negates odd blades."""
         return Multivector(
             self.signature,
-            {b: (-c if _popcount(b) & 1 else c) for b, c in self.terms.items()},
+            {b: (-c if b.bit_count() & 1 else c) for b, c in self.terms.items()},
         )
 
     def transpose(self) -> "Multivector":
@@ -412,11 +469,11 @@ def supercommutator(a: Multivector, b: Multivector) -> Multivector:
     a._check_sig(b)
     out = Multivector.zero(a.signature)
     for pa in (0, 1):
-        xa = Multivector(a.signature, {bl: c for bl, c in a.terms.items() if _popcount(bl) % 2 == pa})
+        xa = Multivector(a.signature, {bl: c for bl, c in a.terms.items() if bl.bit_count() % 2 == pa})
         if xa.is_zero():
             continue
         for pb in (0, 1):
-            xb = Multivector(b.signature, {bl: c for bl, c in b.terms.items() if _popcount(bl) % 2 == pb})
+            xb = Multivector(b.signature, {bl: c for bl, c in b.terms.items() if bl.bit_count() % 2 == pb})
             if xb.is_zero():
                 continue
             if pa and pb:
@@ -452,7 +509,7 @@ def format_mv(mv: Multivector) -> str:
     if not mv.terms:
         return "0"
     parts = []
-    for blade in sorted(mv.terms, key=lambda b: (_popcount(b), b)):
+    for blade in sorted(mv.terms, key=lambda b: (b.bit_count(), b)):
         coeff = mv.terms[blade]
         text = _format_coeff(coeff)
         name = _blade_name(blade)

@@ -60,7 +60,7 @@ def twisted_adjoint_matrix(x: Multivector, dtype=complex) -> np.ndarray:
     xi = x.clifford_inverse()
     for j in range(1, n + 1):
         image = xe * Multivector.basis_vector(j, sig) * xi
-        stray = [c for b, c in image.terms.items() if bin(b).count("1") != 1]
+        stray = [c for b, c in image.terms.items() if b.bit_count() != 1]
         if any(abs(complex(c)) > 1e-9 for c in stray):
             raise ValueError("twisted adjoint did not preserve degree 1")
         for i in range(1, n + 1):
@@ -125,7 +125,7 @@ def _wedge_matrix(n: int, i: int) -> np.ndarray:
     for s in range(dim):
         if s & bit:
             continue
-        below = bin(s & (bit - 1)).count("1")
+        below = (s & (bit - 1)).bit_count()
         out[s | bit, s] = (-1.0) ** below
     return out
 
@@ -138,7 +138,7 @@ def _contract_matrix(n: int, i: int) -> np.ndarray:
     for s in range(dim):
         if not s & bit:
             continue
-        below = bin(s & (bit - 1)).count("1")
+        below = (s & (bit - 1)).bit_count()
         out[s ^ bit, s] = (-1.0) ** below
     return out
 
@@ -161,7 +161,7 @@ class ExteriorModule:
         contracts = [_contract_matrix(n, i) for i in range(1, n + 1)]
         self._c = [w - k for w, k in zip(wedges, contracts)]
         self._ct = [w + k for w, k in zip(wedges, contracts)]
-        degs = np.array([bin(s).count("1") for s in range(self.dim)])
+        degs = np.array([s.bit_count() for s in range(self.dim)])
         self.gamma = np.diag((-1.0) ** degs).astype(complex)
 
     def c(self, i: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from spingeo.clifford import (
     supercommutator,
     volume_element,
 )
+from spingeo.clifford import _sign_mask
 
 
 def mv_scalar(v, sig):
@@ -36,6 +37,45 @@ class TestBladeMul:
     def test_dimension_error(self):
         with pytest.raises(ValueError):
             blade_mul(0b100, 0b1, Signature(2, 0))
+
+    def test_dimension_error_on_either_blade(self):
+        for a, b, sig in [
+            (0b1, 0b100, Signature(2, 0)),
+            (0b1000, 0b1000, Signature(1, 2)),
+            (1 << 5, 0, Signature(0, 5)),
+            (0b1, 0b1, Signature(0, 0)),
+        ]:
+            with pytest.raises(ValueError, match="beyond"):
+                blade_mul(a, b, sig)
+
+    def test_sign_mask_agrees_with_pair_count_exhaustively(self):
+        # every pair of blades and every p for n <= 6, against the sign
+        # counted pair by pair: transpositions (i in a, j in b, i > j) and
+        # repeated generators that square to -1
+        for n in range(7):
+            for p in range(n + 1):
+                sig = Signature(p, n - p)
+                neg = (1 << p) - 1
+                for b in range(1 << n):
+                    mask = _sign_mask(b, neg, n)
+                    for a in range(1 << n):
+                        odd = sum(1 for i in range(n) for j in range(i) if a >> i & 1 and b >> j & 1)
+                        odd += (a & b & neg).bit_count()
+                        sign = -1 if odd & 1 else 1
+                        assert (-1 if (a & mask).bit_count() & 1 else 1) == sign
+                        assert blade_mul(a, b, sig) == (sign, a ^ b)
+
+    def test_exterior_sign_mask_is_the_interleaving_sign(self):
+        # neg = 0: no generator squares to -1, so on disjoint monomials the
+        # mask gives the wedge product's reordering sign
+        n = 6
+        for b in range(1 << n):
+            mask = _sign_mask(b, 0, n)
+            for a in range(1 << n):
+                if a & b:
+                    continue
+                odd = sum(1 for i in range(n) for j in range(i) if a >> i & 1 and b >> j & 1)
+                assert (a & mask).bit_count() & 1 == odd & 1
 
     def test_sign_matches_bubble_sort_oracle(self):
         # independent oracle: explicitly sort the concatenated index word

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from spingeo.clifford import QI, Multivector, Signature, format_mv, parse_mv
+from spingeo.clifford import QI, Multivector, Signature, blade_mul, format_mv, parse_mv
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -100,3 +100,126 @@ def test_exact_products_associate(sig_terms):
     sig, ta, tb, tc = sig_terms
     a, b, c = (Multivector(sig, t) for t in (ta, tb, tc))
     assert (a * b) * c == a * (b * c)
+
+
+# -- the product kernel against a schoolbook product ---------------------------
+
+def schoolbook_product(a: Multivector, b: Multivector) -> dict:
+    """a * b blade by blade through blade_mul, in the product's loop order."""
+    terms = {}
+    for ba, ca in a.terms.items():
+        for bb, cb in b.terms.items():
+            sign, blade = blade_mul(ba, bb, a.signature)
+            contrib = ca * cb if sign > 0 else -(ca * cb)
+            terms[blade] = terms.get(blade, 0) + contrib
+    return Multivector(a.signature, terms).terms
+
+
+#: floats small enough that no product or sum overflows
+bounded_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+#: large primes, so the denominators of a factor share no factor
+LARGE_PRIMES = (1_000_003, 998_244_353, 2_147_483_647, 10**18 + 9, 2**61 - 1)
+
+big_fractions = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.sampled_from(LARGE_PRIMES)
+)
+
+mixed_coeffs = st.one_of(
+    exact_coeffs,
+    bounded_floats,
+    st.builds(complex, bounded_floats, bounded_floats),
+)
+
+qi_coeffs = st.one_of(
+    st.builds(QI, big_fractions, big_fractions),
+    st.builds(QI, big_fractions),
+    st.builds(QI, st.integers(-3, 3), big_fractions),
+)
+
+wide_signatures = st.integers(0, 6).flatmap(
+    lambda n: st.integers(0, n).map(lambda p: Signature(p, n - p))
+)
+
+
+def operand_pairs(values):
+    return wide_signatures.flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.dictionaries(st.integers(0, (1 << s.n) - 1), values, max_size=8),
+            st.dictionaries(st.integers(0, (1 << s.n) - 1), values, max_size=8),
+        )
+    )
+
+
+def assert_same_terms(got: dict, want: dict):
+    assert list(got) == list(want)
+    for blade, value in want.items():
+        assert type(got[blade]) is type(value), blade
+        assert got[blade] == value, blade
+
+
+@PROPERTY_SETTINGS
+@given(operand_pairs(mixed_coeffs))
+def test_product_matches_schoolbook_on_mixed_coefficients(sig_terms):
+    sig, ta, tb = sig_terms
+    a, b = Multivector(sig, ta), Multivector(sig, tb)
+    assert_same_terms((a * b).terms, schoolbook_product(a, b))
+
+
+@PROPERTY_SETTINGS
+@given(operand_pairs(qi_coeffs))
+def test_product_matches_schoolbook_on_gaussian_rationals(sig_terms):
+    sig, ta, tb = sig_terms
+    a, b = Multivector(sig, ta), Multivector(sig, tb)
+    assert_same_terms((a * b).terms, schoolbook_product(a, b))
+
+
+def test_dense_exact_product_matches_schoolbook():
+    sig = Signature(3, 2)
+    a = Multivector(sig, {k: QI(Fraction(k + 1, 7), Fraction(-k, 11)) for k in range(32)})
+    b = Multivector(sig, {k: QI(Fraction(3, 2 * k + 5)) for k in range(32)})
+    assert_same_terms((a * b).terms, schoolbook_product(a, b))
+
+
+# -- QI among the other numbers: equal values hash alike -----------------------
+
+small_rationals = st.sampled_from(
+    (0, 1, -1, 2, 10**20, Fraction(1, 2), Fraction(-3, 4), Fraction(1, 3), Fraction(1, 2**60))
+)
+
+
+@st.composite
+def numbers_of_any_type(draw):
+    re = draw(small_rationals)
+    im = draw(st.sampled_from((0, 0, 1, Fraction(-1, 2), Fraction(1, 3))))
+    kinds = ["QI", "complex"]
+    if im == 0:
+        kinds += ["Fraction", "float"] + (["int"] if Fraction(re).denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "QI":
+        return QI(re, im)
+    if kind == "complex":
+        return complex(float(re), float(im))
+    if kind == "float":
+        return float(re)
+    return Fraction(re) if kind == "Fraction" else int(re)
+
+
+@settings(max_examples=400, deadline=None)
+@given(numbers_of_any_type(), numbers_of_any_type())
+def test_equal_numbers_hash_equal(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_qi_compares_with_floats_exactly():
+    assert len({QI(1, 2), complex(1, 2)}) == 1
+    assert hash(QI(1, 2)) == hash(complex(1, 2))
+    assert QI(Fraction(1, 2)) == 0.5 and hash(QI(Fraction(1, 2))) == hash(0.5)
+    # as Fraction(1, 3) != 1/3: the float is not exactly a third
+    assert QI(Fraction(1, 3)) != 1 / 3
+    assert QI(Fraction(1, 3), 1) != complex(1 / 3, 1)
+    assert QI(1) != float("nan")
+    assert hash(QI(-1)) == hash(-1) == hash(complex(-1))
