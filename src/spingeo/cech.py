@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Nerve:
@@ -94,15 +92,17 @@ class Cochain:
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values.values())
 
-    def to_vector(self) -> np.ndarray:
-        """GF(2) vector in the sorted-simplex basis (+1 -> 0, -1 -> 1)."""
+    def to_vector(self) -> int:
+        """GF(2) vector as a bitmask: bit i is set when simplex i of the sorted basis carries -1."""
         simplices = self.nerve.simplices_of_dim(self.k)
-        return np.array([0 if self.values[s] == 1 else 1 for s in simplices], dtype=np.int64)
+        return sum(1 << i for i, s in enumerate(simplices) if self.values[s] == -1)
 
     @classmethod
-    def from_vector(cls, nerve: Nerve, k: int, vec) -> "Cochain":
+    def from_vector(cls, nerve: Nerve, k: int, vec: int) -> "Cochain":
         simplices = nerve.simplices_of_dim(k)
-        return cls(nerve, k, {s: (-1) ** int(v) for s, v in zip(simplices, vec)})
+        if vec < 0 or vec >> len(simplices):
+            raise ValueError(f"vector {vec:#x} has bits outside the {len(simplices)} {k}-simplices")
+        return cls(nerve, k, {s: -1 for i, s in enumerate(simplices) if vec >> i & 1})
 
 
 def coboundary(sigma: Cochain) -> Cochain:
@@ -119,113 +119,84 @@ def coboundary(sigma: Cochain) -> Cochain:
     return Cochain(nerve, k + 1, out)
 
 
-def coboundary_matrix(nerve: Nerve, k: int) -> np.ndarray:
-    """GF(2) matrix of δ_k from k-cochains to (k+1)-cochains."""
-    rows = nerve.simplices_of_dim(k + 1)
-    cols = nerve.simplices_of_dim(k)
-    col_index = {s: i for i, s in enumerate(cols)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, s in enumerate(rows):
+def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
+    """GF(2) matrix of δ_k: one row bitmask over the k-simplices per (k+1)-simplex."""
+    col_index = {s: i for i, s in enumerate(nerve.simplices_of_dim(k))}
+    rows = []
+    for s in nerve.simplices_of_dim(k + 1):
+        row = 0
         for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            mat[r, col_index[face]] ^= 1
-    return mat
+            row ^= 1 << col_index[s[:j] + s[j + 1 :]]
+        rows.append(row)
+    return rows
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    mat = mat.copy() % 2
-    rows, cols = mat.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, c]:
-                mat[r] ^= mat[rank]
-        rank += 1
-    return rank
+# -- GF(2) elimination on row bitmasks -----------------------------------------
+# A reduced basis maps each pivot bit to its row: the pivot is the row's lowest
+# set bit and is clear in every other row (reduced row echelon form), so
+# reduction modulo the basis gives unique normal forms.
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """Normal form of v modulo the span of a reduced basis."""
+    for pivot, row in basis.items():
+        if v & pivot:
+            v ^= row
+    return v
 
 
-def gf2_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over GF(2), or None."""
-    rows, cols = mat.shape
-    aug = np.concatenate([mat % 2, (rhs % 2).reshape(-1, 1)], axis=1)
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[[rank, pivot]] = aug[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and aug[r, c]:
-                aug[r] ^= aug[rank]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r, -1]:
-            return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, -1]
-    return x
+def _insert(basis: dict[int, int], row: int) -> bool:
+    """Add row to the reduced basis in place; False when it was already in the span."""
+    row = _reduce(row, basis)
+    if not row:
+        return False
+    pivot = row & -row
+    for p, other in basis.items():
+        if other & pivot:
+            basis[p] = other ^ row
+    basis[pivot] = row
+    return True
 
 
-def gf2_nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of ker(mat) over GF(2)."""
-    rows, cols = mat.shape
-    work = mat.copy() % 2
-    pivots = {}
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if work[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and work[r, c]:
-                work[r] ^= work[rank]
-        pivots[c] = rank
-        rank += 1
-    basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for f in free:
-        vec = np.zeros(cols, dtype=np.int64)
-        vec[f] = 1
-        for c, r in pivots.items():
-            if work[r, f]:
-                vec[c] = 1
-        basis.append(vec)
+def _echelon(rows) -> dict[int, int]:
+    basis: dict[int, int] = {}
+    for row in rows:
+        _insert(basis, row)
     return basis
+
+
+def gf2_rank(rows: list[int]) -> int:
+    return len(_echelon(rows))
+
+
+def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
+    """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None.
+
+    Row r carries rhs bit r as a flag above the columns: no solution exactly
+    when the flag alone becomes a pivot."""
+    if any(row >> ncols for row in rows):
+        raise ValueError(f"a row has bits outside the {ncols} columns")
+    flag = 1 << ncols
+    basis = _echelon(row | (flag if rhs >> r & 1 else 0) for r, row in enumerate(rows))
+    if flag in basis:
+        return None
+    return sum(pivot for pivot, row in basis.items() if row & flag)
+
+
+def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
+    """Basis of ker(rows) over GF(2): one vector per free column."""
+    basis = _echelon(rows)
+    free_columns = (1 << c for c in range(ncols) if 1 << c not in basis)
+    return [free | sum(p for p, row in basis.items() if row & free) for free in free_columns]
 
 
 def cohomology_dim(nerve: Nerve, k: int) -> int:
     """dim_{GF(2)} H^k of the nerve's Čech complex."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num_k = len(nerve.simplices_of_dim(k))
-    if num_k == 0:
-        return 0
-    delta_k = coboundary_matrix(nerve, k)
-    ker = num_k - gf2_rank(delta_k)
+    ker = len(nerve.simplices_of_dim(k)) - gf2_rank(coboundary_matrix(nerve, k))
     if k == 0:
         return ker
-    delta_prev = coboundary_matrix(nerve, k - 1)
-    return ker - gf2_rank(delta_prev)
+    return ker - gf2_rank(coboundary_matrix(nerve, k - 1))
 
 
 # -- Stiefel-Whitney classes ----------------------------------------------------
@@ -248,7 +219,7 @@ def w1(transitions: Cochain) -> CohomologyClass:
     nerve = transitions.nerve
     if not coboundary(transitions).is_trivial():
         raise ValueError("transition signs do not form a cocycle")
-    sol = gf2_solve(coboundary_matrix(nerve, 0), transitions.to_vector())
+    sol = gf2_solve(coboundary_matrix(nerve, 0), transitions.to_vector(), nerve.patches)
     if sol is None:
         return CohomologyClass(transitions, False)
     return CohomologyClass(transitions, True, Cochain.from_vector(nerve, 0, sol))
@@ -274,110 +245,47 @@ def w2_cocycle(lifts: Cochain) -> Cochain:
     return coboundary(lifts)
 
 
-def _h1_representatives(nerve: Nerve) -> list[np.ndarray]:
-    """Canonical representative vectors of H¹, one per class."""
-    delta1 = coboundary_matrix(nerve, 1)
-    delta0 = coboundary_matrix(nerve, 0)
-    kernel = gf2_nullspace(delta1)
-    image = [delta0[:, j].copy() for j in range(delta0.shape[1])]
-    # enumerate ker / im by reducing each kernel vector to a canonical coset rep
-    image_basis = _row_reduce([v for v in image])
-    seen = {}
-    reps = []
-    size = len(nerve.simplices_of_dim(1))
-    for bits in range(1 << len(kernel)):
-        vec = np.zeros(size, dtype=np.int64)
-        for idx, b in enumerate(kernel):
-            if bits >> idx & 1:
-                vec ^= b
-        canon = _reduce_mod(vec, image_basis)
-        key = canon.tobytes()
-        if key not in seen:
-            seen[key] = True
-            reps.append(vec)
-    return reps
-
-
-def _row_reduce(vectors) -> list[np.ndarray]:
-    """Reduced row echelon basis over GF(2); gives unique coset normal forms."""
-    vectors = [v % 2 for v in vectors]
-    if not vectors:
-        return []
-    mat = np.array(vectors, dtype=np.int64)
-    rows, cols = mat.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, c]:
-                mat[r] ^= mat[rank]
-        rank += 1
-    return [mat[r] for r in range(rank)]
-
-
-def _reduce_mod(v: np.ndarray, basis) -> np.ndarray:
-    v = v.copy()
-    for w in basis:
-        lead = int(np.argmax(w == 1))
-        if v[lead]:
-            v ^= w
-    return v
-
-
 def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     """Second Stiefel-Whitney data and the spin-structure enumeration.
 
     If ε is trivial in H², the spin structures are the corrections c with
-    δ(c) = ε modulo coboundaries; they form a torsor under H¹, which is
-    verified by brute force on the enumerated set.
+    δ(c) = ε modulo coboundaries; they form a torsor under H¹.  They are
+    built as one particular solution times each element of H¹, whose basis
+    is the cocycles of ker δ₁ that enlarge the span of im δ₀; the torsor
+    property is then verified by brute force on the enumerated set.
     """
     nerve = lifts.nerve
     epsilon = w2_cocycle(lifts)
     if not coboundary(epsilon).is_trivial():
         raise ValueError("ε failed the 2-cocycle check")
     delta1 = coboundary_matrix(nerve, 1)
-    particular = gf2_solve(delta1, epsilon.to_vector())
+    edges = nerve.simplices_of_dim(1)
+    particular = gf2_solve(delta1, epsilon.to_vector(), len(edges))
     if particular is None:
         return SpinStructureReport(epsilon, False, 0)
-    delta0 = coboundary_matrix(nerve, 0)
-    image_basis = _row_reduce([delta0[:, j].copy() for j in range(delta0.shape[1])])
-    reps = _h1_representatives(nerve)
-    # solution set = particular + ker δ1; classes = canonical reps of cosets
-    classes = {}
-    structures = []
-    for rep in reps:
-        sol = (particular ^ rep) % 2
-        canon = _reduce_mod(sol, image_basis)
-        key = canon.tobytes()
-        if key not in classes:
-            classes[key] = sol
-            structures.append(Cochain.from_vector(nerve, 1, sol))
-    count = len(structures)
-    torsor = _verify_torsor(nerve, structures, reps, image_basis)
-    return SpinStructureReport(epsilon, True, count, structures, torsor)
+    stars = [0] * nerve.patches  # δ₀ of each vertex: the edges at it span im δ₀
+    for i, (a, b) in enumerate(edges):
+        stars[a] |= 1 << i
+        stars[b] |= 1 << i
+    image = _echelon(stars)
+    cocycles = dict(image)
+    h1 = [0]  # every element of H¹, spanned by the kernel vectors that enlarge im δ₀
+    for z in gf2_nullspace(delta1, len(edges)):
+        if _insert(cocycles, z):
+            h1 += [h ^ z for h in h1]
+    structures = [Cochain.from_vector(nerve, 1, particular ^ h) for h in h1]
+    torsor = _verify_torsor(structures, h1, image)
+    return SpinStructureReport(epsilon, True, len(structures), structures, torsor)
 
 
-def _verify_torsor(nerve: Nerve, structures, h1_reps, image_basis) -> bool:
+def _verify_torsor(structures: list[Cochain], h1: list[int], image: dict[int, int]) -> bool:
     """H¹ acts by multiplication; check the action is free and transitive."""
-    keys = [
-        _reduce_mod(s.to_vector(), image_basis).tobytes() for s in structures
-    ]
-    key_set = set(keys)
-    if len(key_set) != len(structures) or len(h1_reps) != len(structures):
+    vectors = [s.to_vector() for s in structures]
+    key_set = {_reduce(v, image) for v in vectors}
+    if len(key_set) != len(structures) or len(h1) != len(structures):
         return False
-    for s in structures:
-        images = set()
-        for rep in h1_reps:
-            moved = (s.to_vector() ^ rep) % 2
-            images.add(_reduce_mod(moved, image_basis).tobytes())
-        if images != key_set:  # transitive (and free, by cardinality)
+    for v in vectors:
+        if {_reduce(v ^ h, image) for h in h1} != key_set:  # transitive (and free, by cardinality)
             return False
     return True
 

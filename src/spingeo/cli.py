@@ -171,7 +171,7 @@ def _cmd_cech(args) -> int:
         try:
             with open(args.nerve) as fh:
                 nerve = cech.nerve_from_dict(json.load(fh))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             return _error(f"cannot load nerve: {exc}")
     dims = {f"H{k}": cech.cohomology_dim(nerve, k) for k in range(3)}
     payload = {
@@ -185,16 +185,14 @@ def _cmd_cech(args) -> int:
     ]
     ok = True
     if args.w2:
-        if args.lifts:
-            try:
-                with open(args.lifts) as fh:
-                    data = json.load(fh)
-                values = {tuple(sorted(s)): v for s, v in data}
-            except (OSError, ValueError) as exc:
-                return _error(f"cannot load lifts: {exc}")
-        else:
+        try:
             values = {}
-        lifts = cech.Cochain(nerve, 1, values)
+            if args.lifts:
+                with open(args.lifts) as fh:
+                    values = {tuple(sorted(s)): v for s, v in json.load(fh)}
+            lifts = cech.Cochain(nerve, 1, values)
+        except (OSError, TypeError, ValueError) as exc:
+            return _error(f"cannot load lifts: {exc}")
         report = cech.w2_and_spin_structures(lifts)
         payload["w2_trivial"] = report.w2_trivial
         payload["spin_structures"] = report.count

@@ -1,8 +1,11 @@
 import random
+import time
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spingeo.cech import (
     Cochain,
@@ -22,6 +25,19 @@ from spingeo.cech import (
     w2_and_spin_structures,
     w2_cocycle,
 )
+
+
+def apply(rows: list[int], x: int) -> int:
+    """A·x over GF(2) by popcount parity: bit r is the parity of row r & x."""
+    return sum(((row & x).bit_count() & 1) << r for r, row in enumerate(rows))
+
+
+def span(vectors: list[int]) -> set[int]:
+    """Every XOR of a subset of vectors, by enumerating the subsets."""
+    return {
+        reduce(xor, (v for i, v in enumerate(vectors) if bits >> i & 1), 0)
+        for bits in range(1 << len(vectors))
+    }
 
 
 def random_nerve(rng: random.Random) -> Nerve:
@@ -63,6 +79,15 @@ class TestCochain:
             Cochain(nerve, 1, {(0, 1): 0})
         with pytest.raises(ValueError):
             Cochain(nerve, 1, {(0, 3): -1})
+
+    def test_vector_is_a_bitmask_of_minus_signs(self):
+        nerve = circle_nerve()  # 1-simplices sorted: (0, 1), (0, 2), (1, 2)
+        assert Cochain(nerve, 1, {(0, 2): -1, (1, 2): -1}).to_vector() == 0b110
+        assert Cochain.from_vector(nerve, 1, 0b001).values == {(0, 1): -1, (0, 2): 1, (1, 2): 1}
+
+    def test_from_vector_rejects_bits_past_the_basis(self):
+        with pytest.raises(ValueError, match="outside the 3 1-simplices"):
+            Cochain.from_vector(circle_nerve(), 1, 0b1000)
 
     def test_vector_round_trip(self):
         nerve = torus_nerve()
@@ -106,27 +131,72 @@ class TestCoboundary:
         rng = random.Random(8)
         sigma = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
         mat = coboundary_matrix(nerve, 1)
-        assert np.array_equal((mat @ sigma.to_vector()) % 2, coboundary(sigma).to_vector())
+        assert apply(mat, sigma.to_vector()) == coboundary(sigma).to_vector()
 
 
 class TestGF2:
+    # rows are bitmasks: bit j is column j, so [1, 1, 0] is 0b011
     def test_rank(self):
-        mat = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        assert gf2_rank(mat) == 2
+        assert gf2_rank([0b011, 0b110, 0b101]) == 2
 
     def test_solve_and_nullspace(self):
-        mat = np.array([[1, 1, 0], [0, 1, 1]])
-        rhs = np.array([1, 0])
-        x = gf2_solve(mat, rhs)
+        mat = [0b011, 0b110]
+        rhs = 0b01
+        x = gf2_solve(mat, rhs, 3)
         assert x is not None
-        assert np.array_equal((mat @ x) % 2, rhs)
-        basis = gf2_nullspace(mat)
+        assert apply(mat, x) == rhs
+        basis = gf2_nullspace(mat, 3)
         assert len(basis) == 1
-        assert np.array_equal((mat @ basis[0]) % 2, np.zeros(2))
+        assert apply(mat, basis[0]) == 0
 
     def test_unsolvable(self):
-        mat = np.array([[1, 1], [1, 1]])
-        assert gf2_solve(mat, np.array([1, 0])) is None
+        assert gf2_solve([0b11, 0b11], 0b01, 2) is None
+
+    def test_solve_rejects_rows_wider_than_ncols(self):
+        with pytest.raises(ValueError, match="outside the 2 columns"):
+            gf2_solve([0b100], 0b1, 2)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """(rows, ncols): up to 7 rows of bitmasks over 1..7 columns."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=7))
+    return rows, ncols
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+class TestGF2AgainstBruteForce:
+    @PROPERTY_SETTINGS
+    @given(gf2_matrices())
+    def test_rank_counts_the_row_span(self, matrix):
+        rows, _ = matrix
+        assert 2 ** gf2_rank(rows) == len(span(rows))
+
+    @PROPERTY_SETTINGS
+    @given(gf2_matrices(), st.integers(0, (1 << 7) - 1))
+    def test_solve_finds_a_solution_exactly_when_one_exists(self, matrix, rhs):
+        rows, ncols = matrix
+        rhs &= (1 << len(rows)) - 1
+        solvable = any(apply(rows, x) == rhs for x in range(1 << ncols))
+        x = gf2_solve(rows, rhs, ncols)
+        if solvable:
+            assert x is not None and 0 <= x < 1 << ncols
+            assert apply(rows, x) == rhs
+        else:
+            assert x is None
+
+    @PROPERTY_SETTINGS
+    @given(gf2_matrices())
+    def test_nullspace_is_an_independent_kernel_basis(self, matrix):
+        rows, ncols = matrix
+        rank = len(span(rows)).bit_length() - 1
+        kernel = gf2_nullspace(rows, ncols)
+        assert len(kernel) == ncols - rank
+        assert all(apply(rows, z) == 0 for z in kernel)
+        assert len(span(kernel)) == 2 ** len(kernel)  # independent
 
 
 class TestCohomologyDims:
@@ -247,3 +317,97 @@ class TestSerialization:
         nerve = nerve_from_dict(data)
         assert len(nerve.simplices_of_dim(1)) == 6
         assert len(nerve.simplices_of_dim(2)) == 4
+
+
+# -- surfaces of known topology (Hatcher, Algebraic Topology, 2002) -------------
+
+def torus_grid(k: int) -> list[tuple[int, ...]]:
+    """Triangles of the k x k grid triangulation of the torus."""
+    def v(i, j):
+        return (i % k) * k + (j % k)
+
+    tris = []
+    for i in range(k):
+        for j in range(k):
+            tris.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
+            tris.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
+    return tris
+
+
+# the 7-vertex (Möbius-Császár) torus
+TORUS7 = [tuple(sorted((i, (i + a) % 7, (i + 3) % 7))) for i in range(7) for a in (1, 2)]
+
+# the 6-vertex real projective plane (hemi-icosahedron)
+RP2 = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+]
+
+
+def genus_surface(g: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Connected sum of g 7-vertex tori, each glued along a fresh triangle.
+
+    The last triangle of the surface so far and the torus triangle (0, 1, 3)
+    are removed and their boundaries identified; the torus's other four
+    vertices are new.
+    """
+    vertices, tris = 7, list(TORUS7)
+    for _ in range(g - 1):
+        cut = tris.pop()
+        fresh = iter(range(vertices, vertices + 4))
+        label = {v: (cut[(0, 1, 3).index(v)] if v in (0, 1, 3) else next(fresh)) for v in range(7)}
+        tris += [tuple(sorted(label[v] for v in t)) for t in TORUS7 if t != (0, 1, 3)]
+        vertices += 4
+    return vertices, tris
+
+
+def assert_closed_surface(vertices, tris, euler):
+    edges = [e for t in tris for e in combinations(t, 2)]
+    assert len(set(tris)) == len(tris)
+    assert all(edges.count(e) == 2 for e in set(edges))  # every edge on two triangles
+    assert vertices - len(set(edges)) + len(tris) == euler
+
+
+class TestSurfaces:
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_torus_grid(self, k):
+        tris = torus_grid(k)
+        assert_closed_surface(k * k, tris, 0)
+        nerve = make_nerve(k * k, tris)
+        assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 2, 1]
+        start = time.perf_counter()
+        report = w2_and_spin_structures(Cochain(nerve, 1))
+        elapsed = time.perf_counter() - start
+        assert report.w2_trivial and report.count == 4 and report.torsor_verified
+        if k == 4:
+            assert elapsed < 1.0, f"4x4 torus spin structures took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_genus_g_surface(self, g):
+        vertices, tris = genus_surface(g)
+        assert_closed_surface(vertices, tris, 2 - 2 * g)
+        nerve = make_nerve(vertices, tris)
+        assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 2 * g, 1]
+        rng = random.Random(g)
+        lifts = Cochain(nerve, 1, {e: rng.choice((1, -1)) for e in nerve.simplices_of_dim(1)})
+        report = w2_and_spin_structures(lifts)
+        assert report.w2_trivial
+        assert report.count == 2 ** (2 * g)
+        assert report.torsor_verified
+        assert all(coboundary(c) == report.epsilon for c in report.structures)
+
+    def test_rp2_dims_and_nontrivial_w1(self):
+        assert_closed_surface(6, RP2, 1)
+        nerve = make_nerve(6, RP2)
+        assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 1, 1]
+        # im δ₀ by brute force over all 2^6 vertex sign patterns
+        coboundaries = {
+            coboundary(Cochain.from_vector(nerve, 0, s)).to_vector() for s in range(1 << 6)
+        }
+        kernel = gf2_nullspace(coboundary_matrix(nerve, 1), len(nerve.simplices_of_dim(1)))
+        outside = [z for z in kernel if z not in coboundaries]
+        assert outside
+        c = Cochain.from_vector(nerve, 1, outside[0])
+        assert coboundary(c).is_trivial()
+        cls = w1(c)
+        assert not cls.trivial and cls.witness is None

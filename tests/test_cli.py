@@ -111,6 +111,29 @@ class TestCech:
         assert code == 0
         assert json.loads(out)["cohomology_dims"]["H1"] == 1
 
+    @pytest.mark.parametrize(
+        "option, content, message",
+        [
+            ("--lifts", [[[0, 5], -1]], "(0, 5) is not a 1-simplex"),
+            ("--lifts", [[[0, 1], 0]], "values must be +1 or -1"),
+            ("--nerve", {"patches": 3, "simplices": [[0, "a"]]}, "cannot load nerve"),
+            ("--nerve", [1, 2], "cannot load nerve"),
+        ],
+    )
+    def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        if option == "--nerve":
+            argv = ["cech", "--nerve", str(path)]
+        else:
+            argv = ["cech", "--nerve", "circle", "--w2", "--lifts", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
 
 class TestIndex:
     def test_dlambda_human(self, capsys):

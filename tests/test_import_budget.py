@@ -45,7 +45,7 @@ def loaded_after(argv):
     [
         (["--help"], set()),
         (["classify", "3", "0"], set()),
-        (["cech", "--nerve", "torus", "--w2"], {"numpy"}),
+        (["cech", "--nerve", "torus", "--w2"], set()),
         (["index", "--model", "sphere2"], {"numpy"}),
         (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], {"numpy"}),
         (["genus", "--name", "ahat", "--model", "sphere4"], {"sympy"}),
