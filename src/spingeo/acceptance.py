@@ -130,23 +130,14 @@ def criterion_spinor_representation() -> CheckResult:
     """Spinor generators for n = 2, 4, 6: relations, span, chirality."""
     for n in (2, 4, 6):
         sp = spinrep.SpinorSpace(n)
-        ident = np.eye(sp.dim)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                anti = sp.c(i) @ sp.c(j) + sp.c(j) @ sp.c(i)
-                target = -2.0 * (i == j) * ident
-                if np.max(np.abs(anti - target)) > 1e-12:
-                    return CheckResult("spinor representation", False, f"relation fails n={n} ({i},{j})")
+        residual = spinrep.relations_residual(sp)
+        if residual > spinrep.RELATIONS_TOL:
+            return CheckResult("spinor representation", False, f"relations residual {residual:.2e} at n={n}")
         if sp.monomial_span_dim() != 4 ** (n // 2):
             return CheckResult("spinor representation", False, f"span defect at n={n}")
-        pp, pm = spinrep.chirality_split(sp)
-        if (
-            np.max(np.abs(pp @ pp - pp)) > 1e-12
-            or np.max(np.abs(pm @ pm - pm)) > 1e-12
-            or np.max(np.abs(pp @ pm)) > 1e-12
-            or np.max(np.abs(pp + pm - ident)) > 1e-12
-        ):
-            return CheckResult("spinor representation", False, f"chirality projectors fail at n={n}")
+        residual, dims = spinrep.chirality_residual(sp)
+        if residual > spinrep.CHIRALITY_TOL or dims != (sp.dim // 2, sp.dim // 2):
+            return CheckResult("spinor representation", False, f"chirality fails at n={n}: {residual:.2e}, {dims}")
     return CheckResult("spinor representation", True, "relations, 4^{n/2} span, projectors for n=2,4,6")
 
 
@@ -193,14 +184,8 @@ def criterion_berezin(seed: int = 0) -> CheckResult:
         A = np.array([[0.0, lam], [-lam, 0.0]])
         lhs, rhs = spinrep.berezin_supertrace_exp(A)
         worst = max(worst, abs(lhs - rhs), abs(lhs - (-2j * math.sin(lam))))
-    rng = np.random.default_rng(seed)
-    for trial in range(20):
-        B = rng.normal(size=(4, 4)) * 0.4
-        A = B - B.T
-        lhs, rhs = spinrep.berezin_supertrace_exp(A)
-        worst = max(worst, abs(lhs - rhs))
-    passed = worst <= 1e-10
-    return CheckResult("Berezin/Pfaffian identity", passed, f"worst |lhs-rhs| = {worst:.2e}")
+    worst = max(worst, spinrep.berezin_residual(4, 20, seed))
+    return CheckResult("Berezin/Pfaffian identity", worst <= spinrep.BEREZIN_TOL, f"worst |lhs-rhs| = {worst:.2e}")
 
 
 # 7 ---------------------------------------------------------------------------
@@ -319,16 +304,11 @@ def criterion_index_lab() -> CheckResult:
         if model.kernel_dim() != want_kernel:
             return CheckResult("index lab", False, f"torus Dirac kernel at δ={delta}")
     # (d) Mehler vs Hermite oracle + semigroup residual
-    worst = 0.0
-    for x in np.linspace(-1, 1, 5):
-        for y in np.linspace(-1, 1, 5):
-            worst = max(
-                worst,
-                abs(
-                    index_lab.mehler_kernel(0.3, x, y, 1.0)
-                    - index_lab.oscillator_eigen_expansion(0.3, x, y, 1.0, terms=60)
-                ),
-            )
+    grid = np.linspace(-1, 1, 5)
+    worst = max(
+        abs(index_lab.mehler_kernel(0.3, x, y, 1.0) - index_lab.oscillator_eigen_expansion(0.3, x, y, 1.0, terms=60))
+        for x in grid for y in grid
+    )
     if worst > 1e-8:
         return CheckResult("index lab", False, f"Mehler vs Hermite worst {worst:.2e}")
     xs = np.linspace(-1, 1, 3)
@@ -349,7 +329,8 @@ def criterion_index_lab() -> CheckResult:
 
 def criterion_substitution_suites(seed: int = 0) -> CheckResult:
     """Flat D² identity, symbol ellipticity, McKean-Singer t-independence."""
-    if index_lab.flat_dirac_square_residual(4) > 1e-14:
+    # D = Σ c(e_i) ∂_i squares to -Σ ∂_i² ⊗ I exactly when the c(e_i) satisfy the Clifford relations
+    if spinrep.relations_residual(spinrep.SpinorSpace(4)) > 1e-14:
         return CheckResult("substitution suites", False, "flat D² != -Σ∂² ⊗ I")
     rng = np.random.default_rng(seed)
     for n in (2, 4):
@@ -374,26 +355,18 @@ def criterion_substitution_suites(seed: int = 0) -> CheckResult:
     return CheckResult("substitution suites", True, "D² identity, ellipticity, t-independence")
 
 
-ALL_CRITERIA = [
-    criterion_classification_table,
-    criterion_periodicity,
-    criterion_clifford_relations,
-    criterion_spinor_representation,
-    criterion_twisted_adjoint,
-    criterion_berezin,
-    criterion_genus_expansions,
-    criterion_chern_gauss_bonnet,
-    criterion_cech,
-    criterion_index_lab,
-    criterion_substitution_suites,
-]
-
-
 def run_all(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
-    return results
+    """The eleven criteria in order, each seeded one with ``seed``."""
+    return [
+        criterion_classification_table(),
+        criterion_periodicity(),
+        criterion_clifford_relations(seed=seed),
+        criterion_spinor_representation(),
+        criterion_twisted_adjoint(seed=seed),
+        criterion_berezin(seed=seed),
+        criterion_genus_expansions(),
+        criterion_chern_gauss_bonnet(),
+        criterion_cech(seed=seed),
+        criterion_index_lab(),
+        criterion_substitution_suites(seed=seed),
+    ]

@@ -68,8 +68,8 @@ class Cochain:
             s = tuple(sorted(s))
             if s not in vals:
                 raise ValueError(f"{s} is not a {k}-simplex of the nerve")
-            if v not in (1, -1):
-                raise ValueError("values must be +1 or -1")
+            if isinstance(v, bool) or not isinstance(v, int) or v not in (1, -1):
+                raise ValueError(f"values must be +1 or -1 as ints, got {v!r} at {s}")
             vals[s] = v
         self.values = vals
 
@@ -323,5 +323,8 @@ BUILTIN_NERVES = {
 
 
 def nerve_from_dict(data: dict) -> Nerve:
-    """Load a nerve from {patches, simplices} JSON data."""
-    return make_nerve(int(data["patches"]), [tuple(s) for s in data["simplices"]])
+    """Load a nerve from {patches, simplices} JSON data; the patch count must be an integer."""
+    patches = data["patches"]
+    if isinstance(patches, bool) or not isinstance(patches, int):
+        raise ValueError(f"patches must be an integer, not {patches!r}")
+    return make_nerve(patches, [tuple(s) for s in data["simplices"]])

@@ -395,19 +395,7 @@ def _as_coeff(frac: Fraction, sample: FormPoly):
 
 def form_exp(M: FormMatrix) -> FormMatrix:
     """exp(M) for a matrix with positive-degree entries (nilpotent)."""
-    acc = FormMatrix.identity(M.n, M.m)
-    power = FormMatrix.identity(M.n, M.m)
-    k = 0
-    while True:
-        k += 1
-        power = power @ M
-        if all(e.is_zero() for row in power.entries for e in row):
-            break
-        coeff = _as_coeff_matrix(Fraction(1, factorial(k)), power)
-        acc = acc + power.scale(coeff)
-        if 2 * k > M.m:
-            break
-    return acc
+    return _apply_series(taylor_series("chern_char", M.m), M)
 
 
 def _as_coeff_matrix(frac: Fraction, M: FormMatrix):
@@ -450,8 +438,11 @@ def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
 
     The conventional substitution X = (i/2π) F happens here: callers pass
     the raw curvature.  For the O(n) family and the Euler class F must be
-    antisymmetric.
+    antisymmetric.  With ``exact=False`` every coefficient becomes a Python
+    ``complex`` first, so no sympy arithmetic runs.
     """
+    if not exact:
+        F = _complex_matrix(F)
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
@@ -473,8 +464,18 @@ def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
     raise ValueError(f"unknown genus {name!r}")
 
 
+def _complex_matrix(F: FormMatrix) -> FormMatrix:
+    """F with every coefficient converted to ``complex``; symbols are a ``ValueError``."""
+    try:
+        return FormMatrix([[FormPoly(F.m, {k: complex(c) for k, c in e.terms.items()}) for e in row] for row in F.entries])
+    except TypeError as exc:
+        raise ValueError(f"the float path needs numeric coefficients: {exc}") from None
+
+
 def invariance_check(name: str, F: FormMatrix, G, exact: bool = False) -> float:
     """Max-norm residual between genus(F) and genus(G F G^{-1})."""
+    if not exact:
+        F = _complex_matrix(F)
     base = genus_eval(name, F, exact=exact)
     conj = genus_eval(name, F.conjugate_by(G), exact=exact)
     return (base - conj).max_abs()

@@ -7,7 +7,7 @@ check passed its contract, 1 means a check failed, and 2 means a usage,
 file or input error (argparse reports its own usage errors with status 2).
 
 Each subcommand imports the layer it runs when it runs, so start-up costs
-only what that subcommand uses: ``classify`` loads no numpy, scipy or sympy.
+only what that subcommand uses: ``classify`` loads neither numpy nor sympy.
 """
 
 from __future__ import annotations
@@ -56,8 +56,22 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spinrep(args) -> int:
+    from . import spinrep
+
+    results = {}
+    ok = True
     try:
-        results, ok = _spinrep_checks(args)
+        if args.check in ("relations", "all"):
+            results["relations_residual"] = spinrep.relations_residual(spinrep.SpinorSpace(args.n))
+            ok &= results["relations_residual"] <= spinrep.RELATIONS_TOL
+        if args.check in ("chirality", "all"):
+            residual, dims = spinrep.chirality_residual(spinrep.SpinorSpace(args.n))
+            results.update(chirality_residual=residual, half_spinor_dims=list(dims))
+            ok &= residual <= spinrep.CHIRALITY_TOL
+        if args.check in ("berezin", "all"):
+            residual = spinrep.berezin_residual(args.n, args.trials, args.seed)
+            results.update(berezin_residual=residual, berezin_trials=args.trials)
+            ok &= residual <= spinrep.BEREZIN_TOL
     except ValueError as exc:
         return _error(f"spinrep {args.n}: {exc}")
     payload = {
@@ -65,57 +79,19 @@ def _cmd_spinrep(args) -> int:
         "n": args.n,
         "check": args.check,
         "seed": args.seed,
-        "tolerances": {"relations": 1e-12, "chirality": 1e-12, "berezin": 1e-10},
+        "tolerances": {
+            "relations": spinrep.RELATIONS_TOL,
+            "chirality": spinrep.CHIRALITY_TOL,
+            "berezin": spinrep.BEREZIN_TOL,
+        },
         "results": results,
-        "passed": bool(ok),
+        "passed": ok,
     }
     lines = [f"spinrep n={args.n} check={args.check}: {'PASS' if ok else 'FAIL'}"] + [
         f"  {k} = {v}" for k, v in results.items()
     ]
     _emit(payload, args.format, lines)
     return 0 if ok else 1
-
-
-def _spinrep_checks(args) -> tuple[dict, bool]:
-    import numpy as np
-
-    from . import spinrep
-
-    n = args.n
-    results = {}
-    ok = True
-    if args.check in ("relations", "all"):
-        sp = spinrep.SpinorSpace(n)
-        worst = 0.0
-        ident = np.eye(sp.dim)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                anti = sp.c(i) @ sp.c(j) + sp.c(j) @ sp.c(i)
-                worst = max(worst, float(np.max(np.abs(anti + 2.0 * (i == j) * ident))))
-        results["relations_residual"] = worst
-        ok &= worst <= 1e-12
-    if args.check in ("chirality", "all"):
-        sp = spinrep.SpinorSpace(n)
-        pp, pm = spinrep.chirality_split(sp)
-        residual = max(
-            float(np.max(np.abs(pp @ pp - pp))),
-            float(np.max(np.abs(pp @ pm))),
-            float(np.max(np.abs(pp + pm - np.eye(sp.dim)))),
-        )
-        results["chirality_residual"] = residual
-        results["half_spinor_dims"] = [int(round(np.trace(pp).real)), int(round(np.trace(pm).real))]
-        ok &= residual <= 1e-12
-    if args.check in ("berezin", "all"):
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            B = rng.normal(size=(n, n)) * 0.4
-            lhs, rhs = spinrep.berezin_supertrace_exp(B - B.T)
-            worst = max(worst, abs(lhs - rhs))
-        results["berezin_residual"] = worst
-        results["berezin_trials"] = args.trials
-        ok &= worst <= 1e-10
-    return results, ok
 
 
 def _load_model(args):

@@ -213,23 +213,19 @@ def oscillator_eigen_expansion(t: float, x: float, y: float, a: float, terms: in
     -ψ'' + a²x²ψ = a(2k+1)ψ; this series is the independent oracle for
     :func:`mehler_kernel`.
     """
-    from scipy.special import eval_hermite
-
     if t <= 0 or a <= 0:
         raise ValueError("t and a must be positive")
-    s = math.sqrt(a)
+    # ψ_{k+1}(x) = √(2/(k+1)) √a x ψ_k(x) - √(k/(k+1)) ψ_{k-1}(x), from H_{k+1} = 2u H_k - 2k H_{k-1}
+    norm = (a / math.pi) ** 0.25
+    px, py = norm * math.exp(-a * x * x / 2), norm * math.exp(-a * y * y / 2)
+    qx = qy = 0.0  # ψ_{k-1}
     total = 0.0
-    log_norm = 0.0  # log of 2^k k!
     for k in range(terms):
-        if k > 0:
-            log_norm += math.log(2.0 * k)
-        hx = eval_hermite(k, s * x)
-        hy = eval_hermite(k, s * y)
-        weight = math.exp(
-            -t * a * (2 * k + 1) - a * (x * x + y * y) / 2 - log_norm
-        )
-        total += weight * hx * hy
-    return total * math.sqrt(a / math.pi)
+        total += math.exp(-t * a * (2 * k + 1)) * px * py
+        up, down = math.sqrt(2 * a / (k + 1)), math.sqrt(k / (k + 1))
+        px, qx = up * x * px - down * qx, px
+        py, qy = up * y * py - down * qy, py
+    return total
 
 
 def _composite_gauss_legendre(L: float, panels: int = 16, order: int = 24):
@@ -271,26 +267,7 @@ def delta_limit_error(kernel, f, t: float, x: float, L: float = 8.0, panels: int
     return abs(float(np.sum(w * vals)) - f(x))
 
 
-# -- flat Dirac square and symbol checks ------------------------------------------
-
-def flat_dirac_square_residual(n: int = 4) -> float:
-    """Residual of D² = -Σ ∂_i² ⊗ I as a matrix-polynomial identity.
-
-    D = Σ c(e_i) ∂_i over the spinor module; squaring and collecting the
-    commuting symbols ∂_i∂_j must give -δ_ij times the identity: the
-    diagonal coefficients are c(e_i)² + I and the off-diagonal ones the
-    anticommutators {c(e_i), c(e_j)}.
-    """
-    space = SpinorSpace(n)
-    ident = np.eye(space.dim)
-    residual = 0.0
-    for i in range(1, n + 1):
-        residual = max(residual, float(np.max(np.abs(space.c(i) @ space.c(i) + ident))))
-        for j in range(i + 1, n + 1):
-            anti = space.c(i) @ space.c(j) + space.c(j) @ space.c(i)
-            residual = max(residual, float(np.max(np.abs(anti))))
-    return residual
-
+# -- symbol checks ---------------------------------------------------------------
 
 def dirac_symbol(xi, n: int) -> np.ndarray:
     """Principal symbol σ(D)(ξ) = i c(ξ) on the spinor module."""

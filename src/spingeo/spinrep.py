@@ -240,13 +240,13 @@ def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex,
     """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A).
 
     The left side is a dense matrix exponential on the 2^n-dimensional
-    exterior module; the right side uses the Pfaffian and the closed form of
-    :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when A has
-    the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises ``ValueError``
-    where the right side has a pole.
+    exterior module: every c̃(e^i) is real symmetric, so the quadratic is real
+    antisymmetric and i·quad is Hermitian, and exp(quad) = V e^{-iw} Vᴴ from
+    the eigendecomposition i·quad = V diag(w) Vᴴ.  The right side uses the
+    Pfaffian and the closed form of :func:`ahat_matrix_det_sqrt`, so it
+    equals Π_j (-2i sin λ_j) when A has the rotation blocks λ_j.  Returns
+    ``(lhs, rhs)``; raises ``ValueError`` where the right side has a pole.
     """
-    import scipy.linalg
-
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or n % 2:
@@ -259,7 +259,8 @@ def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex,
         for j in range(1, n + 1):
             if A[i - 1, j - 1] != 0:
                 quad += 0.5 * A[i - 1, j - 1] * (module.c_tilde(i) @ module.c_tilde(j))
-    lhs = relative_supertrace(scipy.linalg.expm(quad), module)
+    w, V = np.linalg.eigh(1j * quad)
+    lhs = relative_supertrace((V * np.exp(-1j * w)) @ V.conj().T, module)
     rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(-2.0 * A, 2 * atol)
     return lhs, complex(rhs)
 
@@ -326,3 +327,40 @@ def chirality_split(space: SpinorSpace) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(omega @ omega, ident, atol=1e-12):
         raise ValueError("volume element action is not an involution")
     return (ident + omega) / 2, (ident - omega) / 2
+
+
+# -- residuals of the spinor checks, for ``spingeo spinrep`` and the battery --
+
+RELATIONS_TOL = 1e-12
+CHIRALITY_TOL = 1e-12
+BEREZIN_TOL = 1e-10
+
+
+def relations_residual(space: SpinorSpace) -> float:
+    """max over i ≤ j of |c(e_i)c(e_j) + c(e_j)c(e_i) + 2δ_ij I| (entrywise)."""
+    ident = np.eye(space.dim)
+    worst = 0.0
+    for i in range(1, space.n + 1):
+        for j in range(i, space.n + 1):
+            anti = space.c(i) @ space.c(j) + space.c(j) @ space.c(i)
+            worst = max(worst, float(np.max(np.abs(anti + 2.0 * (i == j) * ident))))
+    return worst
+
+
+def chirality_residual(space: SpinorSpace) -> tuple[float, tuple[int, int]]:
+    """Worst of π±² = π±, π₊π₋ = 0 and π₊ + π₋ = I, with (dim S₊, dim S₋)."""
+    pp, pm = chirality_split(space)
+    identities = (pp @ pp - pp, pm @ pm - pm, pp @ pm, pp + pm - np.eye(space.dim))
+    residual = max(float(np.max(np.abs(m))) for m in identities)
+    return residual, (int(round(np.trace(pp).real)), int(round(np.trace(pm).real)))
+
+
+def berezin_residual(n: int, trials: int, seed: int) -> float:
+    """Worst |lhs - rhs| of :func:`berezin_supertrace_exp` over seeded A = B - Bᵀ, B = 0.4·N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        B = rng.normal(size=(n, n)) * 0.4
+        lhs, rhs = berezin_supertrace_exp(B - B.T)
+        worst = max(worst, abs(lhs - rhs))
+    return worst

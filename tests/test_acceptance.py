@@ -4,6 +4,7 @@ Run with ``pytest -s`` to see the [PASS]/[FAIL] lines inline; each test also
 enforces the criterion's wall-clock limit.
 """
 
+import inspect
 import time
 
 import pytest
@@ -70,3 +71,21 @@ def test_criterion_10_index_lab():
 
 def test_criterion_11_substitution_suites():
     _run(acceptance.criterion_substitution_suites, 60, seed=0)
+
+
+def test_run_all_runs_the_eleven_criteria_in_order_with_the_seed(monkeypatch):
+    names = [
+        "classification_table", "periodicity", "clifford_relations", "spinor_representation",
+        "twisted_adjoint", "berezin", "genus_expansions", "chern_gauss_bonnet", "cech",
+        "index_lab", "substitution_suites",
+    ]
+    seeded = {n for n in names if "seed" in inspect.signature(getattr(acceptance, f"criterion_{n}")).parameters}
+    calls = []
+    for name in names:
+        def record(name=name, **kwargs):
+            calls.append((name, kwargs))
+            return acceptance.CheckResult(name, True, "")
+
+        monkeypatch.setattr(acceptance, f"criterion_{name}", record)
+    assert [r.name for r in acceptance.run_all(seed=7)] == names
+    assert calls == [(n, {"seed": 7} if n in seeded else {}) for n in names]

@@ -80,6 +80,12 @@ class TestCochain:
         with pytest.raises(ValueError):
             Cochain(nerve, 1, {(0, 3): -1})
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, -1.0, "1"])
+    def test_sign_must_be_the_int_plus_or_minus_one(self, value):
+        # True == 1 and 1.0 == 1, so a membership test alone accepts them
+        with pytest.raises(ValueError, match="as ints"):
+            Cochain(circle_nerve(), 1, {(0, 1): value})
+
     def test_vector_is_a_bitmask_of_minus_signs(self):
         nerve = circle_nerve()  # 1-simplices sorted: (0, 1), (0, 2), (1, 2)
         assert Cochain(nerve, 1, {(0, 2): -1, (1, 2): -1}).to_vector() == 0b110
@@ -317,6 +323,11 @@ class TestSerialization:
         nerve = nerve_from_dict(data)
         assert len(nerve.simplices_of_dim(1)) == 6
         assert len(nerve.simplices_of_dim(2)) == 4
+
+    @pytest.mark.parametrize("patches", [3.7, 3.0, "3", True, None])
+    def test_nerve_from_dict_rejects_a_non_integer_patch_count(self, patches):
+        with pytest.raises(ValueError, match="patches must be an integer"):
+            nerve_from_dict({"patches": patches, "simplices": [[0, 1], [1, 2], [0, 2]]})
 
 
 # -- surfaces of known topology (Hatcher, Algebraic Topology, 2002) -------------

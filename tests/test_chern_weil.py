@@ -334,6 +334,25 @@ class TestGenusEval:
                 Q[:, 0] = -Q[:, 0]
             assert invariance_check(name, F4, Q) <= 1e-10
 
+    @pytest.mark.parametrize("name", ["euler", "ahat", "todd", "chern_char"])
+    def test_float_path_is_complex_and_matches_exact(self, name):
+        F4 = curvature_model("sphere4", r=2).F
+        value = genus_eval(name, F4, exact=False)
+        assert not any(isinstance(c, sympy.Basic) for c in value.terms.values())
+        exact = genus_eval(name, F4)
+        assert value.terms.keys() == exact.terms.keys()
+        for mask, c in exact.terms.items():
+            assert abs(value.terms[mask] - complex(c)) <= 1e-12 * max(1.0, abs(complex(c)))
+
+    def test_float_path_rejects_symbols(self):
+        F = FormMatrix.zero(2, 2)
+        F.entries[0][1] = FormPoly.monomial((1, 2), 2, sympy.Symbol("a"))
+        F.entries[1][0] = -F.entries[0][1]
+        with pytest.raises(ValueError, match="numeric coefficients"):
+            genus_eval("euler", F, exact=False)
+        with pytest.raises(ValueError, match="numeric coefficients"):
+            invariance_check("euler", F, np.eye(2))
+
 
 class TestCurvatureModels:
     def test_sphere2_curvature_entry(self):

@@ -118,6 +118,10 @@ class TestCech:
             ("--lifts", [[[0, 1], 0]], "values must be +1 or -1"),
             ("--nerve", {"patches": 3, "simplices": [[0, "a"]]}, "cannot load nerve"),
             ("--nerve", [1, 2], "cannot load nerve"),
+            ("--lifts", [[[0, 1], True]], "values must be +1 or -1 as ints"),
+            ("--lifts", [[[0, 1], 1.0]], "values must be +1 or -1 as ints"),
+            ("--nerve", {"patches": 3.7, "simplices": [[0, 1]]}, "patches must be an integer"),
+            ("--nerve", {"patches": "3", "simplices": [[0, 1]]}, "patches must be an integer"),
         ],
     )
     def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):

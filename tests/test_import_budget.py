@@ -49,11 +49,9 @@ def loaded_after(argv):
         (["index", "--model", "sphere2"], {"numpy"}),
         (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], {"numpy"}),
         (["genus", "--name", "ahat", "--model", "sphere4"], {"sympy"}),
+        (["spinrep", "4", "--check", "all"], {"numpy"}),
     ],
 )
 def test_heavy_imports_per_subcommand(argv, expected):
     assert loaded_after(argv) == expected
 
-
-def test_spinrep_loads_no_sympy():
-    assert "sympy" not in loaded_after(["spinrep", "4", "--check", "all"])

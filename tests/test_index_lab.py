@@ -9,7 +9,6 @@ from spingeo.index_lab import (
     dirac_symbol,
     dlambda_index,
     dlambda_model,
-    flat_dirac_square_residual,
     hodge_supertrace,
     line_heat_kernel,
     mckean_singer_check,
@@ -22,6 +21,7 @@ from spingeo.index_lab import (
     torus2_hodge_model,
     torus_dirac_model,
 )
+from spingeo.spinrep import SpinorSpace, relations_residual
 
 
 class TestSpectralModel:
@@ -160,6 +160,18 @@ class TestHeatKernels:
                 series = oscillator_eigen_expansion(0.3, x, y, 1.0)
                 assert abs(closed - series) <= 1e-8
 
+    def test_eigen_expansion_terms_are_hermite_functions(self):
+        # term k is e^{-ta(2k+1)} ψ_k(x) ψ_k(y), with H_k from numpy's Hermite series as the reference
+        t, a, x, y = 0.3, 2.0, 0.7, -0.4
+
+        def psi(k, z):
+            h = np.polynomial.hermite.hermval(math.sqrt(a) * z, [0] * k + [1])
+            return (a / math.pi) ** 0.25 * h * math.exp(-a * z * z / 2) / math.sqrt(2.0**k * math.factorial(k))
+
+        for k in range(12):
+            term = oscillator_eigen_expansion(t, x, y, a, terms=k + 1) - oscillator_eigen_expansion(t, x, y, a, terms=k)
+            assert term == pytest.approx(math.exp(-t * a * (2 * k + 1)) * psi(k, x) * psi(k, y), rel=1e-9, abs=1e-15)
+
     def test_mehler_degenerates_to_line_kernel(self):
         for x, y in [(0.0, 0.0), (0.5, -0.4), (1.2, 0.9)]:
             assert abs(mehler_kernel(0.4, x, y, 1e-6) - line_heat_kernel(0.4, x, y)) <= 1e-8
@@ -186,8 +198,9 @@ class TestHeatKernels:
 
 class TestDiracAlgebra:
     def test_flat_square_identity(self):
-        assert flat_dirac_square_residual(2) == 0.0
-        assert flat_dirac_square_residual(4) == 0.0
+        # D = Σ c(e_i) ∂_i squares to -Σ ∂_i² ⊗ I exactly when the Clifford relations hold
+        assert relations_residual(SpinorSpace(2)) == 0.0
+        assert relations_residual(SpinorSpace(4)) == 0.0
 
     def test_symbol_squares_to_norm(self):
         for n in (2, 4):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,17 +7,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from spingeo import acceptance, spinrep
+from spingeo.cli import main
 from spingeo.clifford import Multivector, Signature
 from spingeo.spinrep import (
     ExteriorModule,
     SpinorSpace,
     ahat_matrix_det_sqrt,
+    berezin_residual,
     berezin_supertrace_exp,
+    chirality_residual,
     chirality_split,
     lie_iso,
     lie_iso_inv,
     pfaffian,
     reflection_formula,
+    relations_residual,
     relative_supertrace,
     spin_rotation,
     twisted_adjoint,
@@ -352,3 +358,75 @@ class TestChirality:
         # c(e1) S+ ⊆ S-: pm c(e1) pp == c(e1) pp
         assert np.allclose(pm @ c1 @ pp, c1 @ pp, atol=1e-12)
         assert np.allclose(pp @ c1 @ pm, c1 @ pm, atol=1e-12)
+
+
+class TestSharedResiduals:
+    """The residuals behind both ``spingeo spinrep`` and the acceptance battery."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_exact_on_the_spinor_module(self, n):
+        sp = SpinorSpace(n)
+        assert relations_residual(sp) == 0.0
+        assert chirality_residual(sp) == (0.0, (sp.dim // 2, sp.dim // 2))
+
+    def test_relations_residual_sees_a_wrong_generator(self):
+        sp = SpinorSpace(4)
+        sp.generators[0] = 1j * sp.generators[0]  # now squares to +I
+        assert relations_residual(sp) >= 1
+
+    def test_chirality_residual_sees_wrong_projectors(self, monkeypatch):
+        monkeypatch.setattr(spinrep, "chirality_split", lambda sp: (np.eye(sp.dim), np.eye(sp.dim)))
+        residual, dims = chirality_residual(SpinorSpace(2))
+        assert residual >= 1 and dims == (2, 2)
+
+    def test_berezin_residual_is_seeded(self):
+        assert berezin_residual(4, 3, seed=9) == berezin_residual(4, 3, seed=9) <= 1e-10
+        assert berezin_residual(4, 0, seed=9) == 0.0
+
+
+def _plant_berezin_error(monkeypatch, size=None):
+    """Make berezin_supertrace_exp report rhs = lhs + 1e-9 (on size x size input only, if given)."""
+    exact = spinrep.berezin_supertrace_exp
+
+    def planted(A):
+        lhs, rhs = exact(A)
+        return (lhs, lhs + 1e-9) if size in (None, len(A)) else (lhs, rhs)
+
+    monkeypatch.setattr(spinrep, "berezin_supertrace_exp", planted)
+
+
+class TestSharedChecksCanFail:
+    def test_cli_berezin_fails_through_the_shared_function(self, monkeypatch, capsys):
+        _plant_berezin_error(monkeypatch)
+        code = main(["spinrep", "2", "--check", "berezin", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1 and data["passed"] is False
+        assert data["results"]["berezin_residual"] == pytest.approx(1e-9)
+
+    def test_criterion_berezin_fails_through_the_shared_function(self, monkeypatch):
+        _plant_berezin_error(monkeypatch)
+        assert not acceptance.criterion_berezin().passed
+
+    def test_criterion_berezin_fails_on_its_random_draws(self, monkeypatch):
+        # the λ sweep is 2x2, so a planted error on 4x4 input only reaches the random draws
+        _plant_berezin_error(monkeypatch, size=4)
+        result = acceptance.criterion_berezin()
+        assert not result.passed and "1.00e-09" in result.detail
+
+    @pytest.mark.parametrize(
+        "name, planted, criteria",
+        [
+            ("relations", lambda sp: 1e-11, ("spinor_representation", "substitution_suites")),
+            ("chirality", lambda sp: (1e-11, (sp.dim // 2,) * 2), ("spinor_representation",)),
+        ],
+    )
+    def test_relations_and_chirality_fail_in_cli_and_criteria(self, monkeypatch, capsys, name, planted, criteria):
+        monkeypatch.setattr(spinrep, f"{name}_residual", planted)
+        assert main(["spinrep", "2", "--check", name]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        for criterion in criteria:
+            assert not getattr(acceptance, f"criterion_{criterion}")().passed
+
+    def test_criterion_checks_half_spinor_dimensions(self, monkeypatch):
+        monkeypatch.setattr(spinrep, "chirality_residual", lambda sp: (0.0, (sp.dim, 0)))
+        assert not acceptance.criterion_spinor_representation().passed
