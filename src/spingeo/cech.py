@@ -2,11 +2,11 @@
 
 Covers are purely combinatorial: a :class:`Nerve` lists the patches and the
 nonempty multiple intersections (simplices).  Cochains take multiplicative
-values in {+1, -1}; the coboundary is the alternating product over faces.
+values in {+1, -1}, stored as GF(2) bitmasks; the coboundary is the product
+over faces, i.e. the GF(2) coboundary matrix applied to the bitmask.
 On top of this sit the first Stiefel-Whitney class (orientability of a sign
 cocycle), the second (obstruction to lifting transition signs), and the
-enumeration of spin structures together with the free transitive action of
-H¹ on them.
+enumeration of spin structures, certified as the torsor under H¹.
 """
 
 from __future__ import annotations
@@ -57,21 +57,24 @@ def make_nerve(patches: int, simplices) -> Nerve:
 
 
 class Cochain:
-    """Multiplicative Z₂ cochain: map from k-simplices to {+1, -1}."""
+    """Multiplicative Z₂ cochain: map from k-simplices to {+1, -1}, kept as its GF(2) vector."""
 
     def __init__(self, nerve: Nerve, k: int, values: dict[tuple[int, ...], int] | None = None):
-        self.nerve = nerve
-        self.k = k
-        simplices = nerve.simplices_of_dim(k)
-        vals = {s: 1 for s in simplices}
+        self.nerve, self.k, self.vector = nerve, k, 0
+        index = {s: i for i, s in enumerate(nerve.simplices_of_dim(k))} if values else {}
         for s, v in (values or {}).items():
             s = tuple(sorted(s))
-            if s not in vals:
+            if s not in index:
                 raise ValueError(f"{s} is not a {k}-simplex of the nerve")
             if isinstance(v, bool) or not isinstance(v, int) or v not in (1, -1):
                 raise ValueError(f"values must be +1 or -1 as ints, got {v!r} at {s}")
-            vals[s] = v
-        self.values = vals
+            bit = 1 << index[s]
+            self.vector = self.vector | bit if v == -1 else self.vector & ~bit
+
+    @property
+    def values(self) -> dict[tuple[int, ...], int]:
+        simplices = self.nerve.simplices_of_dim(self.k)
+        return {s: -1 if self.vector >> i & 1 else 1 for i, s in enumerate(simplices)}
 
     def __getitem__(self, s) -> int:
         return self.values[tuple(sorted(s))]
@@ -79,44 +82,38 @@ class Cochain:
     def __mul__(self, other: "Cochain") -> "Cochain":
         if self.k != other.k or self.nerve != other.nerve:
             raise ValueError("cochain mismatch")
-        return Cochain(self.nerve, self.k, {s: v * other.values[s] for s, v in self.values.items()})
+        return Cochain.from_vector(self.nerve, self.k, self.vector ^ other.vector)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.k == other.k
-            and self.nerve == other.nerve
-            and self.values == other.values
-        )
+        same = isinstance(other, Cochain) and (self.k, self.nerve) == (other.k, other.nerve)
+        return same and self.vector == other.vector
 
     def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values.values())
+        return not self.vector
 
     def to_vector(self) -> int:
         """GF(2) vector as a bitmask: bit i is set when simplex i of the sorted basis carries -1."""
-        simplices = self.nerve.simplices_of_dim(self.k)
-        return sum(1 << i for i, s in enumerate(simplices) if self.values[s] == -1)
+        return self.vector
 
     @classmethod
     def from_vector(cls, nerve: Nerve, k: int, vec: int) -> "Cochain":
-        simplices = nerve.simplices_of_dim(k)
-        if vec < 0 or vec >> len(simplices):
-            raise ValueError(f"vector {vec:#x} has bits outside the {len(simplices)} {k}-simplices")
-        return cls(nerve, k, {s: -1 for i, s in enumerate(simplices) if vec >> i & 1})
+        size = len(nerve.simplices_of_dim(k))
+        if vec < 0 or vec >> size:
+            raise ValueError(f"vector {vec:#x} has bits outside the {size} {k}-simplices")
+        cochain = cls(nerve, k)
+        cochain.vector = vec
+        return cochain
+
+
+def _apply(rows: list[int], x: int) -> int:
+    """Matrix times vector over GF(2): bit r is the parity of row r & x."""
+    return sum(((row & x).bit_count() & 1) << r for r, row in enumerate(rows))
 
 
 def coboundary(sigma: Cochain) -> Cochain:
     """(δσ)(s) = Π_j σ(s with vertex j dropped); satisfies δ∘δ = trivial."""
-    nerve = sigma.nerve
-    k = sigma.k
-    out = {}
-    for s in nerve.simplices_of_dim(k + 1):
-        val = 1
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            val *= sigma[face]
-        out[s] = val
-    return Cochain(nerve, k + 1, out)
+    delta = coboundary_matrix(sigma.nerve, sigma.k)
+    return Cochain.from_vector(sigma.nerve, sigma.k + 1, _apply(delta, sigma.vector))
 
 
 def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
@@ -137,10 +134,12 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
 # reduction modulo the basis gives unique normal forms.
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
-    """Normal form of v modulo the span of a reduced basis."""
-    for pivot, row in basis.items():
-        if v & pivot:
-            v ^= row
+    """Normal form of v modulo the span of a reduced basis: v XOR the rows of its pivots."""
+    bits = v
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        v ^= basis.get(low, 0)
     return v
 
 
@@ -249,10 +248,9 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     """Second Stiefel-Whitney data and the spin-structure enumeration.
 
     If ε is trivial in H², the spin structures are the corrections c with
-    δ(c) = ε modulo coboundaries; they form a torsor under H¹.  They are
-    built as one particular solution times each element of H¹, whose basis
-    is the cocycles of ker δ₁ that enlarge the span of im δ₀; the torsor
-    property is then verified by brute force on the enumerated set.
+    δ(c) = ε modulo coboundaries, a torsor under H¹: one particular solution
+    times each element of H¹, whose basis is the cocycles of ker δ₁ that
+    enlarge the span of im δ₀, certified by :func:`_verify_torsor`.
     """
     nerve = lifts.nerve
     epsilon = w2_cocycle(lifts)
@@ -260,7 +258,7 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
         raise ValueError("ε failed the 2-cocycle check")
     delta1 = coboundary_matrix(nerve, 1)
     edges = nerve.simplices_of_dim(1)
-    particular = gf2_solve(delta1, epsilon.to_vector(), len(edges))
+    particular = gf2_solve(delta1, epsilon.vector, len(edges))
     if particular is None:
         return SpinStructureReport(epsilon, False, 0)
     stars = [0] * nerve.patches  # δ₀ of each vertex: the edges at it span im δ₀
@@ -273,21 +271,22 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     for z in gf2_nullspace(delta1, len(edges)):
         if _insert(cocycles, z):
             h1 += [h ^ z for h in h1]
-    structures = [Cochain.from_vector(nerve, 1, particular ^ h) for h in h1]
-    torsor = _verify_torsor(structures, h1, image)
+    vectors = [particular ^ h for h in h1]
+    structures = [Cochain.from_vector(nerve, 1, v) for v in vectors]
+    torsor = _verify_torsor(epsilon, vectors, image)
     return SpinStructureReport(epsilon, True, len(structures), structures, torsor)
 
 
-def _verify_torsor(structures: list[Cochain], h1: list[int], image: dict[int, int]) -> bool:
-    """H¹ acts by multiplication; check the action is free and transitive."""
-    vectors = [s.to_vector() for s in structures]
-    key_set = {_reduce(v, image) for v in vectors}
-    if len(key_set) != len(structures) or len(h1) != len(structures):
-        return False
-    for v in vectors:
-        if {_reduce(v ^ h, image) for h in h1} != key_set:  # transitive (and free, by cardinality)
-            return False
-    return True
+def _verify_torsor(epsilon: Cochain, vectors: list[int], image: dict[int, int]) -> bool:
+    """The classes of solutions of δc = ε modulo im δ₀ (reduced basis ``image``) form an
+    H¹-torsor, so vectors that solve it, are distinct modulo im δ₀ and number 2^b₁ (b₁ from
+    its own rank count) are one representative of every class."""
+    delta1 = coboundary_matrix(epsilon.nerve, 1)
+    return (
+        all(_apply(delta1, v) == epsilon.vector for v in vectors)
+        and len({_reduce(v, image) for v in vectors}) == len(vectors)
+        and len(vectors) == 2 ** cohomology_dim(epsilon.nerve, 1)
+    )
 
 
 # -- built-in nerves -------------------------------------------------------------

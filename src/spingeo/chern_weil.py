@@ -276,10 +276,6 @@ class FormMatrix:
             [[FormPoly.scalar(1 if i == j else 0, m) for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def from_scalar(cls, mat, m: int) -> "FormMatrix":
-        return cls([[FormPoly.scalar(v, m) for v in row] for row in mat])
-
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         return FormMatrix(
             [[self.entries[i][j] + other.entries[i][j] for j in range(self.n)] for i in range(self.n)]
@@ -496,6 +492,8 @@ class CurvatureModel:
 def curvature_model(name: str, r=1) -> CurvatureModel:
     """Built-in homogeneous models: sphere2(r), torus2, sphere4(r)."""
     r = sympy.nsimplify(sympy.sympify(r), rational=True)
+    if not (r.is_Rational and r > 0):
+        raise ValueError(f"radius must be a positive rational, not {r}")
     if name == "sphere2":
         m = 2
         F = FormMatrix.zero(2, m)

@@ -39,19 +39,21 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 def _cmd_classify(args) -> int:
     from . import classification
 
-    if args.complex is not None:
-        t = classification.classify_complex(args.complex)
-        payload = {"command": "classify", "complex_n": args.complex, "result": t.to_dict()}
-        _emit(payload, args.format, [f"Cl^c_{args.complex} = {t}"])
-        return 0
-    if args.even:
-        t = classification.even_subalgebra_type(args.p, args.q)
-        payload = {"command": "classify", "p": args.p, "q": args.q, "even": True, "result": t.to_dict()}
-        _emit(payload, args.format, [f"Cl^0({args.p},{args.q}) = {t}"])
-        return 0
-    t = classification.classify_real(args.p, args.q)
-    payload = {"command": "classify", "p": args.p, "q": args.q, "result": t.to_dict()}
-    _emit(payload, args.format, [f"Cl({args.p},{args.q}) = {t}"])
+    try:
+        if args.complex is not None:
+            t = classification.classify_complex(args.complex)
+            payload = {"command": "classify", "complex_n": args.complex, "result": t.to_dict()}
+            _emit(payload, args.format, [f"Cl^c_{args.complex} = {t}"])
+        elif args.even:
+            t = classification.even_subalgebra_type(args.p, args.q)
+            payload = {"command": "classify", "p": args.p, "q": args.q, "even": True, "result": t.to_dict()}
+            _emit(payload, args.format, [f"Cl^0({args.p},{args.q}) = {t}"])
+        else:
+            t = classification.classify_real(args.p, args.q)
+            payload = {"command": "classify", "p": args.p, "q": args.q, "result": t.to_dict()}
+            _emit(payload, args.format, [f"Cl({args.p},{args.q}) = {t}"])
+    except ValueError as exc:
+        return _error(f"classify: {exc}")
     return 0
 
 

@@ -392,9 +392,6 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_grade(self) -> int:
-        return max((b.bit_count() for b in self.terms), default=0)
-
     # -- involutions -------------------------------------------------------
 
     def grade_involution(self) -> "Multivector":

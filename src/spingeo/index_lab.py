@@ -20,10 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .spinrep import SpinorSpace
-
 
 # -- spectral models ----------------------------------------------------------
 
@@ -230,6 +226,8 @@ def oscillator_eigen_expansion(t: float, x: float, y: float, a: float, terms: in
 
 def _composite_gauss_legendre(L: float, panels: int = 16, order: int = 24):
     """Deterministic composite Gauss-Legendre nodes/weights on [-L, L]."""
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(-L, L, panels + 1)
     zs, ws = [], []
@@ -245,6 +243,8 @@ def semigroup_residual(kernel, t1: float, t2: float, xs, L: float | None = None)
     Quadrature is composite Gauss-Legendre on [-L, L] with
     L = max(8√(t1+t2), 8) by default; node placement is deterministic.
     """
+    import numpy as np
+
     if t1 <= 0 or t2 <= 0:
         raise ValueError("times must be positive")
     if L is None:
@@ -262,6 +262,8 @@ def semigroup_residual(kernel, t1: float, t2: float, xs, L: float | None = None)
 
 def delta_limit_error(kernel, f, t: float, x: float, L: float = 8.0, panels: int = 256) -> float:
     """|∫ k(t,x,y) f(y) dy - f(x)| by composite Gauss-Legendre quadrature."""
+    import numpy as np
+
     z, w = _composite_gauss_legendre(L, panels=panels, order=24)
     vals = np.array([kernel(t, x, zz) * f(zz) for zz in z])
     return abs(float(np.sum(w * vals)) - f(x))
@@ -271,12 +273,18 @@ def delta_limit_error(kernel, f, t: float, x: float, L: float = 8.0, panels: int
 
 def dirac_symbol(xi, n: int) -> np.ndarray:
     """Principal symbol σ(D)(ξ) = i c(ξ) on the spinor module."""
+    import numpy as np
+
+    from .spinrep import SpinorSpace
+
     space = SpinorSpace(n)
     return 1j * space.c_vector(np.asarray(xi, dtype=float))
 
 
 def symbol_is_elliptic(xi, n: int, tol: float = 1e-10) -> bool:
     """Invertibility of σ(D)(ξ) for ξ ≠ 0 (σ(ξ)² = |ξ|² under our signs)."""
+    import numpy as np
+
     xi = np.asarray(xi, dtype=float)
     sym = dirac_symbol(xi, n)
     norm2 = float(xi @ xi)

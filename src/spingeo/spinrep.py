@@ -131,16 +131,9 @@ def _wedge_matrix(n: int, i: int) -> np.ndarray:
 
 
 def _contract_matrix(n: int, i: int) -> np.ndarray:
-    """Matrix of the contraction ι_{e_i} on Λ(R^n)."""
-    dim = 1 << n
-    out = np.zeros((dim, dim))
-    bit = 1 << (i - 1)
-    for s in range(dim):
-        if not s & bit:
-            continue
-        below = (s & (bit - 1)).bit_count()
-        out[s ^ bit, s] = (-1.0) ** below
-    return out
+    """Matrix of the contraction ι_{e_i} on Λ(R^n), the adjoint of e^i ∧ ·: in the
+    orthonormal subset basis, its transpose."""
+    return _wedge_matrix(n, i).T
 
 
 class ExteriorModule:
@@ -357,6 +350,8 @@ def chirality_residual(space: SpinorSpace) -> tuple[float, tuple[int, int]]:
 
 def berezin_residual(n: int, trials: int, seed: int) -> float:
     """Worst |lhs - rhs| of :func:`berezin_supertrace_exp` over seeded A = B - Bᵀ, B = 0.4·N(0, 1)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from functools import reduce
@@ -7,6 +8,7 @@ from operator import xor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spingeo import cech, cli
 from spingeo.cech import (
     Cochain,
     Nerve,
@@ -123,6 +125,13 @@ class TestCoboundary:
         assert d[(0, 1)] == -1
         assert d[(1, 2)] == -1
         assert d[(0, 2)] == 1
+
+    def test_one_cochain_on_the_sphere_by_hand(self):
+        # each triangle multiplies the signs of its three edges:
+        # (0, 1, 2) sees both -1 edges, (0, 1, 3) and (1, 2, 3) one each, (0, 2, 3) none
+        sigma = Cochain(sphere_nerve(), 1, {(0, 1): -1, (1, 2): -1})
+        want = {(0, 1, 2): 1, (0, 1, 3): -1, (0, 2, 3): 1, (1, 2, 3): -1}
+        assert coboundary(sigma).values == want
 
     def test_delta_squared_is_trivial(self):
         rng = random.Random(19)
@@ -313,6 +322,62 @@ class TestSpinStructures:
             assert coboundary(c) == report.epsilon
 
 
+def all_pairs_torsor(nerve: Nerve, eps: int, vectors: list[int]) -> bool:
+    """The O(|H¹|²) torsor check the certificate replaced, kept as the reference.
+
+    Classes modulo im δ₀ are keyed by brute force over all 2^patches vertex
+    cochains and H¹ is every cocycle class; the structures must solve δc = ε,
+    be distinct classes, and H¹ must act on them freely and transitively.
+    """
+    delta1 = coboundary_matrix(nerve, 1)
+    image = {coboundary(Cochain.from_vector(nerve, 0, s)).to_vector() for s in range(1 << nerve.patches)}
+
+    def key(v):
+        return min(v ^ b for b in image)
+
+    h1 = {key(z) for z in span(gf2_nullspace(delta1, len(nerve.simplices_of_dim(1))))}
+    keys = {key(v) for v in vectors}
+    if any(apply(delta1, v) != eps for v in vectors) or not len(keys) == len(h1) == len(vectors):
+        return False
+    return all({key(v ^ h) for h in h1} == keys for v in vectors)
+
+
+class TestTorsorCertificate:
+    def test_agrees_with_the_all_pairs_reference(self):
+        rng = random.Random(41)
+        nerves = [circle_nerve(), sphere_nerve(), torus_nerve()] + [random_nerve(rng) for _ in range(30)]
+        outcomes = set()
+        for nerve in nerves:
+            lifts = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
+            report = w2_and_spin_structures(lifts)
+            vertices = [Cochain.from_vector(nerve, 0, 1 << i) for i in range(nerve.patches)]
+            stars = [coboundary(v).to_vector() for v in vertices]
+            image = cech._echelon(stars)
+            vectors = [c.to_vector() for c in report.structures]
+            first = vectors[0]
+            candidates = [
+                vectors,
+                vectors[:-1],  # one class missing
+                vectors + [first],  # one class twice
+                [first ^ stars[0]] + vectors[1:],  # another representative of the same class
+                [first ^ 1] + vectors[1:],  # first edge flipped
+            ]
+            for i, candidate in enumerate(candidates):
+                want = all_pairs_torsor(nerve, report.epsilon.to_vector(), candidate)
+                assert cech._verify_torsor(report.epsilon, candidate, image) == want, (nerve, i)
+                outcomes.add(want)
+            assert report.torsor_verified
+        assert outcomes == {True, False}
+
+    def test_a_wrong_b1_fails_the_certificate_and_the_cli(self, monkeypatch, capsys):
+        true_dim = cech.cohomology_dim
+        monkeypatch.setattr(cech, "cohomology_dim", lambda nerve, k: true_dim(nerve, k) + (k == 1))
+        report = w2_and_spin_structures(Cochain(torus_nerve(), 1))
+        assert report.count == 4 and not report.torsor_verified
+        assert cli.main(["cech", "--nerve", "torus", "--w2", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["torsor_verified"] is False
+
+
 class TestSerialization:
     def test_nerve_from_dict(self):
         data = {"patches": 3, "simplices": [[0, 1], [1, 2], [0, 2]]}
@@ -332,17 +397,24 @@ class TestSerialization:
 
 # -- surfaces of known topology (Hatcher, Algebraic Topology, 2002) -------------
 
-def torus_grid(k: int) -> list[tuple[int, ...]]:
-    """Triangles of the k x k grid triangulation of the torus."""
-    def v(i, j):
-        return (i % k) * k + (j % k)
-
+def grid_triangles(k: int, v) -> list[tuple[int, ...]]:
+    """Triangles of the k x k grid, with v(i, j) the vertex at i, j in 0..k."""
     tris = []
     for i in range(k):
         for j in range(k):
             tris.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
             tris.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
     return tris
+
+
+def torus_grid(k: int) -> list[tuple[int, ...]]:
+    """Triangles of the k x k grid triangulation of the torus."""
+    return grid_triangles(k, lambda i, j: (i % k) * k + j % k)
+
+
+def klein_grid(k: int) -> list[tuple[int, ...]]:
+    """The k x k grid glued as a Klein bottle: (i + k, j) ≡ (i, -j)."""
+    return grid_triangles(k, lambda i, j: (i % k) * k + (j if i < k else -j) % k)
 
 
 # the 7-vertex (Möbius-Császár) torus
@@ -379,6 +451,30 @@ def assert_closed_surface(vertices, tris, euler):
     assert vertices - len(set(edges)) + len(tris) == euler
 
 
+def orientable(tris) -> bool:
+    """Whether signs o_t exist with Σ o_t ∂t = 0, i.e. the triangles orient coherently."""
+    def boundary(t):
+        a, b, c = t
+        return (((b, c), 1), ((a, c), -1), ((a, b), 1))
+
+    incident = {}
+    for t in tris:
+        for edge, sign in boundary(t):
+            incident.setdefault(edge, []).append((t, sign))
+    orientation, stack = {tris[0]: 1}, [tris[0]]
+    while stack:
+        t = stack.pop()
+        for edge, sign in boundary(t):
+            for u, other in incident[edge]:
+                want = -orientation[t] * sign * other  # the edge cancels: o_u·other = -o_t·sign
+                if u not in orientation:
+                    orientation[u] = want
+                    stack.append(u)
+                elif u != t and orientation[u] != want:
+                    return False
+    return True
+
+
 class TestSurfaces:
     @pytest.mark.parametrize("k", [4, 10])
     def test_torus_grid(self, k):
@@ -393,7 +489,7 @@ class TestSurfaces:
         if k == 4:
             assert elapsed < 1.0, f"4x4 torus spin structures took {elapsed:.2f} s"
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 5])
     def test_genus_g_surface(self, g):
         vertices, tris = genus_surface(g)
         assert_closed_surface(vertices, tris, 2 - 2 * g)
@@ -401,14 +497,28 @@ class TestSurfaces:
         assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 2 * g, 1]
         rng = random.Random(g)
         lifts = Cochain(nerve, 1, {e: rng.choice((1, -1)) for e in nerve.simplices_of_dim(1)})
+        start = time.perf_counter()
         report = w2_and_spin_structures(lifts)
+        elapsed = time.perf_counter() - start
         assert report.w2_trivial
         assert report.count == 2 ** (2 * g)
         assert report.torsor_verified
         assert all(coboundary(c) == report.epsilon for c in report.structures)
+        assert elapsed < 1.0, f"genus-{g} spin structures took {elapsed:.2f} s"
+
+    def test_klein_bottle(self):
+        tris = klein_grid(4)
+        assert_closed_surface(16, tris, 0)
+        assert orientable(torus_grid(4)) and orientable(TORUS7)
+        assert not orientable(tris)
+        nerve = make_nerve(16, tris)
+        assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 2, 1]
+        report = w2_and_spin_structures(Cochain(nerve, 1))
+        assert report.w2_trivial and report.count == 4 and report.torsor_verified
 
     def test_rp2_dims_and_nontrivial_w1(self):
         assert_closed_surface(6, RP2, 1)
+        assert not orientable(RP2)
         nerve = make_nerve(6, RP2)
         assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 1, 1]
         # im δ₀ by brute force over all 2^6 vertex sign patterns

@@ -192,6 +192,26 @@ class TestSelftest:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "-1", "0"], "signature counts must be nonnegative"),
+            (["classify", "0", "0", "--even"], "needs p + q >= 1"),
+            (["classify", "--complex", "-1"], "n must be nonnegative"),
+            (["genus", "--radius", "0"], "radius must be a positive rational"),
+            (["genus", "--radius", "abc"], "radius must be a positive rational"),
+            (["genus", "--radius", "-1"], "radius must be a positive rational"),
+            (["spinrep", "4", "--trials", "0"], "trials must be at least 1"),
+        ],
+    )
+    def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -46,8 +46,8 @@ def loaded_after(argv):
         (["--help"], set()),
         (["classify", "3", "0"], set()),
         (["cech", "--nerve", "torus", "--w2"], set()),
-        (["index", "--model", "sphere2"], {"numpy"}),
-        (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], {"numpy"}),
+        (["index", "--model", "sphere2"], set()),
+        (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], set()),
         (["genus", "--name", "ahat", "--model", "sphere4"], {"sympy"}),
         (["spinrep", "4", "--check", "all"], {"numpy"}),
     ],

@@ -381,7 +381,8 @@ class TestSharedResiduals:
 
     def test_berezin_residual_is_seeded(self):
         assert berezin_residual(4, 3, seed=9) == berezin_residual(4, 3, seed=9) <= 1e-10
-        assert berezin_residual(4, 0, seed=9) == 0.0
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            berezin_residual(4, 0, seed=9)
 
 
 def _plant_berezin_error(monkeypatch, size=None):
