@@ -182,10 +182,23 @@ def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
 
 
 def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of ker(rows) over GF(2): one vector per free column."""
+    """Basis of ker(rows) over GF(2): one vector per free column.
+
+    The vector of free column f is f plus every pivot whose row contains f;
+    a reduced row holds no other pivot, so its bits besides its own pivot are
+    exactly the free columns it adds its pivot to, and one pass over the rows
+    builds every vector."""
+    if any(row >> ncols for row in rows):
+        raise ValueError(f"a row has bits outside the {ncols} columns")
     basis = _echelon(rows)
-    free_columns = (1 << c for c in range(ncols) if 1 << c not in basis)
-    return [free | sum(p for p, row in basis.items() if row & free) for free in free_columns]
+    kernel = {1 << c: 1 << c for c in range(ncols) if 1 << c not in basis}
+    for pivot, row in basis.items():
+        free = row ^ pivot
+        while free:
+            low = free & -free
+            free ^= low
+            kernel[low] |= pivot
+    return list(kernel.values())
 
 
 def cohomology_dim(nerve: Nerve, k: int) -> int:

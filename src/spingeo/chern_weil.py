@@ -7,21 +7,25 @@ invariant power series evaluated on a curvature matrix: the U(n) family as
 ``det f(X)``, the O(n) family as ``det^{1/2} f(X)``, the Chern character as
 ``tr exp(X)`` and the Euler class as ``Pf(F/2π)``, always with
 ``X = (i/2π) F`` applied internally so callers pass the raw (real,
-antisymmetric) curvature matrix ``F``.
+antisymmetric) curvature matrix ``F`` (Milnor-Stasheff, *Characteristic
+Classes*, App. C).
 
-Coefficients may be exact sympy numbers/symbols (default for the built-in
-models) or complex floats for numerical spot checks; arithmetic is agnostic.
+Coefficients are exact by default: with rational curvature, as in the
+built-in models, every coefficient lies in Q(i)[π, π⁻¹] and is computed in
+:class:`PiLaurent`, without sympy.  sympy enters only with symbols: a model
+file (:func:`model_from_dict`) or symbolic coefficients passed in by the
+caller, which :class:`PiLaurent` hands over to sympy through ``_sympy_``.
+Complex floats serve numerical spot checks; arithmetic is agnostic.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, pi as _PI
 
-import sympy
-
-from .clifford import _sign_mask
+from .clifford import QI, _sign_mask
 from .pfaffian import pfaffian
 
 
@@ -114,11 +118,178 @@ def genus_expand(name: str) -> dict[str, Fraction]:
     }
 
 
+# -- the exact scalar ring Q(i)[π, π⁻¹] -----------------------------------------
+
+def _is_sympy(c) -> bool:
+    """Whether c is a sympy value, without importing sympy: only a loaded sympy makes one."""
+    sympy = sys.modules.get("sympy")
+    return sympy is not None and isinstance(c, sympy.Basic)
+
+
+_ZERO = Fraction(0)
+
+
+def _qi(re: Fraction, im: Fraction) -> QI:
+    """QI(re, im) from two Fractions, without QI's conversion of each part."""
+    x = object.__new__(QI)
+    object.__setattr__(x, "re", re)
+    object.__setattr__(x, "im", im)
+    return x
+
+
+def _pi_terms(x) -> dict | None:
+    """{k: c_k} of an exact scalar the ring knows (PiLaurent, int, Fraction, QI), else None."""
+    if isinstance(x, PiLaurent):
+        return x.terms
+    if isinstance(x, QI):
+        return {0: x} if x else {}
+    if isinstance(x, (int, Fraction)):
+        return {0: QI(x)} if x else {}
+    return None
+
+
+def _term_str(c: QI, k: int) -> str:
+    """c·π^k as sympy's ``str`` prints it."""
+    power = "pi" if abs(k) == 1 else f"pi**{abs(k)}"
+    if c.re and c.im:
+        if k == 0:
+            return f"{c.re} {'+' if c.im > 0 else '-'} {_term_str(QI(0, abs(c.im)), 0)}"
+        gauss = _term_str(c, 0)
+        return f"{power}*({gauss})" if k > 0 else f"({gauss})/{power}"
+    q, unit = (c.re, []) if c.re else (c.im, ["I"])
+    if q == 1 and not unit and k < -1:
+        return f"pi**({k})"  # a bare power, not a quotient
+    sign, q = ("-" if q < 0 else ""), abs(q)
+    num = ([str(q.numerator)] if q.numerator != 1 else []) + unit + ([power] if k > 0 else [])
+    den = ([str(q.denominator)] if q.denominator != 1 else []) + ([power] if k < 0 else [])
+    text = "*".join(num) or "1"
+    if den:
+        text += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
+    return sign + text
+
+
+class PiLaurent:
+    """Exact element Σ c_k π^k of Q(i)[π, π⁻¹], kept as {k: c_k} with nonzero Gaussian rationals.
+
+    It equals the int, Fraction or QI it equals and prints as sympy prints
+    the same number.  A float or complex operand gives a complex; any other
+    operand is not its own (``NotImplemented``), so a sympy value takes over
+    through ``_sympy_``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {}
+        for k, c in (terms or {}).items():
+            c = c if isinstance(c, QI) else QI(c)
+            if c:
+                self.terms[k] = c
+
+    @classmethod
+    def _from(cls, terms: dict) -> "PiLaurent":
+        x = object.__new__(cls)
+        x.terms = {k: c for k, c in terms.items() if c.re or c.im}
+        return x
+
+    def __add__(self, other):
+        o = _pi_terms(other)
+        if o is None:
+            return complex(self) + other if isinstance(other, (float, complex)) else NotImplemented
+        terms = dict(self.terms)
+        for k, c in o.items():
+            if k in terms:
+                t = terms[k]
+                terms[k] = _qi(t.re + c.re, t.im + c.im)
+            else:
+                terms[k] = c
+        return PiLaurent._from(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PiLaurent._from({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = _pi_terms(other)
+        if o is None:
+            return complex(self) - other if isinstance(other, (float, complex)) else NotImplemented
+        return self + -PiLaurent._from(o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PiLaurent._from({k: _qi(c.re * other, c.im * other) for k, c in self.terms.items()})
+        o = _pi_terms(other)
+        if o is None:
+            return complex(self) * other if isinstance(other, (float, complex)) else NotImplemented
+        terms: dict[int, QI] = {}
+        for i, a in self.terms.items():
+            for j, b in o.items():
+                if a.im or b.im:
+                    re, im = a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+                else:
+                    re, im = a.re * b.re, _ZERO
+                t = terms.get(i + j)
+                terms[i + j] = _qi(re, im) if t is None else _qi(t.re + re, t.im + im)
+        return PiLaurent._from(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = _pi_terms(other)
+        if o is not None:
+            return self.terms == o
+        if isinstance(other, (float, complex)):  # π is transcendental: only constants can match
+            return self.terms.keys() <= {0} and self.terms.get(0, QI()) == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))  # as the int, Fraction or QI it equals
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __complex__(self):
+        return complex(sum(complex(c) * _PI**k for k, c in self.terms.items()))
+
+    def __str__(self):
+        text = ""
+        for k in sorted(self.terms, reverse=True):
+            term = _term_str(self.terms[k], k)
+            if not text:
+                text = term
+            else:
+                text += " - " + term[1:] if term.startswith("-") else " + " + term
+        return text or "0"
+
+    __repr__ = __str__
+
+    def _sympy_(self):
+        import sympy
+
+        def rational(q: Fraction):
+            return sympy.Rational(q.numerator, q.denominator)
+
+        return sympy.Add(
+            *((rational(c.re) + sympy.I * rational(c.im)) * sympy.pi**k for k, c in self.terms.items())
+        )
+
+
+PI = PiLaurent({1: 1})
+
+
 # -- the truncated exterior coefficient ring ----------------------------------
 
 def _is_zero(c) -> bool:
-    if isinstance(c, sympy.Basic):
-        return bool(sympy.expand(c) == 0)
+    if isinstance(c, PiLaurent):
+        return not c.terms
+    if _is_sympy(c):
+        return bool(c.expand() == 0)
     return c == 0
 
 
@@ -231,7 +402,7 @@ class FormPoly:
     def expand(self) -> "FormPoly":
         return FormPoly(
             self.m,
-            {mask: (sympy.expand(c) if isinstance(c, sympy.Basic) else c) for mask, c in self.terms.items()},
+            {mask: (c.expand() if _is_sympy(c) else c) for mask, c in self.terms.items()},
         )
 
     def is_zero(self) -> bool:
@@ -382,8 +553,8 @@ def form_det_sqrt(M: FormMatrix) -> FormPoly:
 def _as_coeff(frac: Fraction, sample: FormPoly):
     """Render an exact Fraction in the coefficient domain of sample."""
     for c in sample.terms.values():
-        if isinstance(c, sympy.Basic):
-            return sympy.Rational(frac.numerator, frac.denominator)
+        if _is_sympy(c):
+            return sys.modules["sympy"].Rational(frac.numerator, frac.denominator)
         if isinstance(c, (complex, float)):
             return float(frac)
     return frac
@@ -435,16 +606,16 @@ def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
     The conventional substitution X = (i/2π) F happens here: callers pass
     the raw curvature.  For the O(n) family and the Euler class F must be
     antisymmetric.  With ``exact=False`` every coefficient becomes a Python
-    ``complex`` first, so no sympy arithmetic runs.
+    ``complex`` first, so no exact arithmetic runs.
     """
     if not exact:
         F = _complex_matrix(F)
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
-        factor = sympy.Rational(1, 2) / sympy.pi if exact else 1.0 / (2 * _PI)
+        factor = PiLaurent({-1: Fraction(1, 2)}) if exact else 1.0 / (2 * _PI)
         return form_pfaffian(F.scale(factor))
-    two_pi_i = (sympy.I / (2 * sympy.pi)) if exact else (1j / (2 * _PI))
+    two_pi_i = PiLaurent({-1: QI(0, Fraction(1, 2))}) if exact else (1j / (2 * _PI))
     X = F.scale(two_pi_i)
     order = F.m + 1
     if name == "chern_char":
@@ -486,23 +657,31 @@ class CurvatureModel:
     name: str
     n: int
     F: FormMatrix
-    volume: object  # total volume (sympy expression in exact mode)
+    volume: object  # exact total volume: a PiLaurent, or a sympy expression from a model file
 
 
 def curvature_model(name: str, r=1) -> CurvatureModel:
-    """Built-in homogeneous models: sphere2(r), torus2, sphere4(r)."""
-    r = sympy.nsimplify(sympy.sympify(r), rational=True)
-    if not (r.is_Rational and r > 0):
+    """Built-in homogeneous models: sphere2(r), torus2, sphere4(r).
+
+    The radius r is a positive rational as ``Fraction`` reads it: an int, a
+    rational number or a string such as ``"1/2"`` or ``"0.5"``.
+    """
+    try:
+        radius = Fraction(r)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        radius = None
+    if radius is None or radius <= 0:
         raise ValueError(f"radius must be a positive rational, not {r}")
+    r = radius
     if name == "sphere2":
         m = 2
         F = FormMatrix.zero(2, m)
         curv = FormPoly.monomial((1, 2), m, 1 / r**2)
         F.entries[0][1] = curv
         F.entries[1][0] = -curv
-        return CurvatureModel("sphere2", 2, F, 4 * sympy.pi * r**2)
+        return CurvatureModel("sphere2", 2, F, 4 * PI * r**2)
     if name == "torus2":
-        return CurvatureModel("torus2", 2, FormMatrix.zero(2, 2), sympy.Integer(1))
+        return CurvatureModel("torus2", 2, FormMatrix.zero(2, 2), PiLaurent({0: 1}))
     if name == "sphere4":
         m = 4
         F = FormMatrix.zero(4, m)
@@ -512,7 +691,7 @@ def curvature_model(name: str, r=1) -> CurvatureModel:
                     curv = FormPoly.monomial((a, b), m, 1 / r**2)
                     F.entries[a - 1][b - 1] = curv
                     F.entries[b - 1][a - 1] = -curv
-        return CurvatureModel("sphere4", 4, F, sympy.Rational(8, 3) * sympy.pi**2 * r**4)
+        return CurvatureModel("sphere4", 4, F, Fraction(8, 3) * PI * PI * r**4)
     raise ValueError(f"unknown curvature model {name!r}")
 
 
@@ -543,8 +722,8 @@ def integrate_top(phi: FormPoly, model: CurvatureModel) -> object:
     if phi.m != model.F.m:
         raise ValueError("form was built over a different coframe")
     value = phi.top_coefficient() * model.volume
-    if isinstance(value, sympy.Basic):
-        return sympy.simplify(value)
+    if _is_sympy(value):
+        return value.simplify()
     return value
 
 
@@ -552,8 +731,10 @@ def model_from_dict(data: dict) -> CurvatureModel:
     """Load a curvature model from {n, entries, volume} JSON data.
 
     ``entries`` is a list of [i, j, [[indices, coeff], ...]] with 1-based
-    matrix positions and coefficients parseable by sympy.
+    matrix positions and coefficients parseable by sympy, which this imports.
     """
+    import sympy
+
     n = int(data["n"])
     F = FormMatrix.zero(n, n)
     for i, j, monomials in data.get("entries", []):

@@ -111,8 +111,6 @@ def _load_model(args):
 
 
 def _cmd_genus(args) -> int:
-    import sympy
-
     from . import chern_weil
 
     try:
@@ -132,11 +130,11 @@ def _cmd_genus(args) -> int:
         "top_coefficient": str(value.top_coefficient()),
         "integral": str(total),
     }
-    _emit(
-        payload,
-        args.format,
-        [f"{args.name} on {model.name}: integral = {sympy.nsimplify(total)}"],
-    )
+    if args.model_file:  # a model file's integral is a sympy expression
+        import sympy
+
+        total = sympy.nsimplify(total)
+    _emit(payload, args.format, [f"{args.name} on {model.name}: integral = {total}"])
     return 0
 
 

@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from spingeo.chern_weil import (
+    PI,
     CurvatureModel,
     FormMatrix,
     FormPoly,
+    PiLaurent,
     bernoulli,
     curvature_model,
     form_det,
@@ -25,6 +28,7 @@ from spingeo.chern_weil import (
     product_model,
     taylor_series,
 )
+from spingeo.clifford import QI
 
 
 class TestBernoulli:
@@ -86,6 +90,76 @@ class TestGenusExpand:
         assert got["p1"] == Fraction(1, 3)
         assert got["p1^2"] == Fraction(-1, 45)
         assert got["p2"] == Fraction(7, 45)
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+gaussian_rationals = st.builds(QI, fractions, fractions)
+pi_laurents = st.dictionaries(st.integers(-4, 4), gaussian_rationals, max_size=4).map(PiLaurent)
+pi_monomials = st.builds(lambda k, c: PiLaurent({k: c}), st.integers(-4, 4), gaussian_rationals)
+
+
+def same_number(a, b) -> bool:
+    return sympy.expand(sympy.sympify(a) - sympy.sympify(b)) == 0
+
+
+class TestPiLaurent:
+    """The exact ring Q(i)[π, π⁻¹] against sympy, which it replaces for numbers."""
+
+    @PROPERTY_SETTINGS
+    @given(pi_laurents, pi_laurents, fractions)
+    def test_ring_operations_agree_with_sympy(self, a, b, q):
+        sa, sb, sq = a._sympy_(), b._sympy_(), sympy.Rational(q.numerator, q.denominator)
+        assert same_number((a + b)._sympy_(), sa + sb)
+        assert same_number((a - b)._sympy_(), sa - sb)
+        assert same_number((a * b)._sympy_(), sa * sb)
+        assert same_number((-a)._sympy_(), -sa)
+        assert same_number((a * q)._sympy_(), sa * sq) and same_number((q - a)._sympy_(), sq - sa)
+
+    @PROPERTY_SETTINGS
+    @given(pi_laurents)
+    def test_str_parses_back_to_the_same_expression(self, x):
+        assert sympy.sympify(str(x)) == x._sympy_()
+
+    @PROPERTY_SETTINGS
+    @given(pi_monomials)
+    def test_one_term_prints_as_sympy_prints_it(self, x):
+        assert str(x) == str(x._sympy_())
+
+    @PROPERTY_SETTINGS
+    @given(gaussian_rationals, pi_laurents)
+    def test_constants_equal_and_hash_as_their_value(self, c, x):
+        const = PiLaurent({0: c})
+        assert const == c and hash(const) == hash(c)
+        if c.im == 0:
+            assert const == c.re and hash(const) == hash(c.re)
+        assert (x == c) == (x - c == 0) == (str(x) == str(const))
+
+    @PROPERTY_SETTINGS
+    @given(pi_laurents)
+    def test_sympy_operands_take_over(self, x):
+        s = sympy.Symbol("s")
+        for got, want in ((x * s, x._sympy_() * s), (s * x, s * x._sympy_()), (x + s, x._sympy_() + s),
+                          (x - s, x._sympy_() - s), (s - x, s - x._sympy_())):
+            assert isinstance(got, sympy.Basic) and same_number(got, want)
+
+    def test_printed_values(self):
+        half = Fraction(1, 2)
+        assert str(PiLaurent({-1: half})) == "1/(2*pi)"
+        assert str(12 * PiLaurent({-2: 1})) == "12/pi**2"
+        assert str(PiLaurent({-2: Fraction(1, 324)})) == "1/(324*pi**2)"
+        assert str(PI * PiLaurent({-1: 2})) == "2"
+        assert str(PI - PI) == "0"
+        assert str(PiLaurent({-1: QI(0, half)})) == "I/(2*pi)"
+
+    def test_compares_with_numbers_exactly(self):
+        two = PI * PiLaurent({-1: 2})
+        assert two == 2 and not two != 2 and two == Fraction(2) and two == QI(2) and two == 2.0
+        assert PI != 0 and PI != 3.141592653589793 and PI - PI == 0
+        assert complex(PI) == complex(3.141592653589793)
+        assert PI * 1.0 == 3.141592653589793
+        assert {two: "x"}[2] == "x"
 
 
 class TestFormPoly:

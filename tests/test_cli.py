@@ -202,6 +202,8 @@ class TestUsageErrors:
             (["genus", "--radius", "abc"], "radius must be a positive rational"),
             (["genus", "--radius", "-1"], "radius must be a positive rational"),
             (["spinrep", "4", "--trials", "0"], "trials must be at least 1"),
+            (["genus", "--radius", "1/"], "radius must be a positive rational"),
+            (["genus", "--radius", "1/0"], "radius must be a positive rational"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

@@ -48,10 +48,17 @@ def loaded_after(argv):
         (["cech", "--nerve", "torus", "--w2"], set()),
         (["index", "--model", "sphere2"], set()),
         (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], set()),
-        (["genus", "--name", "ahat", "--model", "sphere4"], {"sympy"}),
+        (["genus", "--name", "ahat", "--model", "sphere4"], set()),
+        (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], set()),
         (["spinrep", "4", "--check", "all"], {"numpy"}),
     ],
 )
 def test_heavy_imports_per_subcommand(argv, expected):
     assert loaded_after(argv) == expected
+
+
+def test_genus_model_file_loads_sympy(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1, 2, [[[1, 2], "1/4"]]], [2, 1, [[[1, 2], "-1/4"]]]], "volume": "16*pi"}))
+    assert loaded_after(["genus", "--model-file", str(path)]) == {"sympy"}
 
