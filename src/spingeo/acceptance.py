@@ -204,7 +204,8 @@ def criterion_genus_expansions() -> CheckResult:
     pont = chern_weil.genus_expand("ahat")
     if pont["p1"] != Fraction(-1, 24) or pont["p1^2"] != Fraction(7, 5760) or pont["p2"] != Fraction(-1, 1440):
         return CheckResult("genus expansions", False, f"ahat pontryagin form {pont}")
-    # p1 == -(1/8π²) tr(F∧F) on a generic antisymmetric FormMatrix
+    # p1 == e2(F/2π) = (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji) on a generic
+    # antisymmetric FormMatrix: principal minors, while genus_eval takes traces
     m = 4
     F = chern_weil.FormMatrix.zero(3, m)
     for i in range(3):
@@ -217,9 +218,14 @@ def criterion_genus_expansions() -> CheckResult:
             F.entries[i][j] = poly
             F.entries[j][i] = -poly
     p1 = chern_weil.genus_eval("pontryagin", F).degree_part(4)
-    rhs = chern_weil.form_tr(F @ F) * (sympy.Rational(-1, 8) / sympy.pi**2)
+    e = F.entries
+    minors = sum(
+        (e[i][i] * e[j][j] - e[i][j] * e[j][i] for i, j in combinations(range(3), 2)),
+        chern_weil.FormPoly(m),
+    )
+    rhs = minors * (sympy.Rational(1, 4) / sympy.pi**2)
     if not (p1 - rhs).expand().is_zero():
-        return CheckResult("genus expansions", False, "p1 != -(1/8π²) tr(F∧F)")
+        return CheckResult("genus expansions", False, "p1 != (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji)")
     return CheckResult("genus expansions", True, "ahat/L/todd coefficients and symbolic p1 exact")
 
 

@@ -1,14 +1,15 @@
 """Characteristic classes from curvature data.
 
 The coefficient ring is a truncated exterior algebra on ``m`` coframe
-generators, restricted in practice to even-degree monomials (so the ring is
-commutative and every positive-degree element is nilpotent).  Genera are
-invariant power series evaluated on a curvature matrix: the U(n) family as
-``det f(X)``, the O(n) family as ``det^{1/2} f(X)``, the Chern character as
-``tr exp(X)`` and the Euler class as ``Pf(F/2π)``, always with
-``X = (i/2π) F`` applied internally so callers pass the raw (real,
-antisymmetric) curvature matrix ``F`` (Milnor-Stasheff, *Characteristic
-Classes*, App. C).
+generators; curvature entries are forms of positive even degree (so they
+commute and are nilpotent).  Genera are invariant power series evaluated on
+a curvature matrix: the U(n) family as ``det f(X)``, the O(n) family as
+``det^{1/2} f(X)``, the Chern character as ``tr exp(X)`` and the Euler class
+as ``Pf(F/2π)``, always with ``X = (i/2π) F`` applied internally so callers
+pass the raw (real, antisymmetric) curvature matrix ``F`` (Milnor-Stasheff,
+*Characteristic Classes*, App. C).  All but the Euler class are computed
+from the power sums ``tr X^k``, which generate the invariant polynomials
+(ibid., §16).
 
 Coefficients are exact by default: with rational curvature, as in the
 built-in models, every coefficient lies in Q(i)[π, π⁻¹] and is computed in
@@ -60,6 +61,14 @@ def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     for m in range(1, order + 1):
         inv[m] = -sum(a[j] * inv[m - j] for j in range(1, m + 1))
     return inv
+
+
+def _log_series(a: list[Fraction]) -> list[Fraction]:
+    """Coefficients c_k of log f for f = Σ a_k x^k with a_0 = 1, from f' = f · (log f)'."""
+    c = [Fraction(0)] * len(a)
+    for k in range(1, len(a)):
+        c[k] = a[k] - Fraction(sum(j * c[j] * a[k - j] for j in range(1, k)), k)
+    return c
 
 
 def taylor_series(name: str, order: int = 10) -> list[Fraction]:
@@ -272,12 +281,7 @@ class PiLaurent:
     def _sympy_(self):
         import sympy
 
-        def rational(q: Fraction):
-            return sympy.Rational(q.numerator, q.denominator)
-
-        return sympy.Add(
-            *((rational(c.re) + sympy.I * rational(c.im)) * sympy.pi**k for k, c in self.terms.items())
-        )
+        return sympy.Add(*(c._sympy_() * sympy.pi**k for k, c in self.terms.items()))
 
 
 PI = PiLaurent({1: 1})
@@ -408,6 +412,9 @@ class FormPoly:
     def is_zero(self) -> bool:
         return all(_is_zero(c) for c in self.terms.values())
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __repr__(self):
         if not self.terms:
             return "FormPoly(0)"
@@ -468,7 +475,9 @@ class FormMatrix:
             for j in range(n):
                 acc = FormPoly(self.m)
                 for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                    a, b = self.entries[i][k], other.entries[k][j]
+                    if a and b:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return FormMatrix(out)
@@ -512,102 +521,62 @@ def form_tr(M: FormMatrix) -> FormPoly:
     return acc
 
 
-def form_det(M: FormMatrix) -> FormPoly:
-    """Determinant by cofactor expansion (entries commute)."""
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return M.entries[rows[0]][cols[0]]
-        acc = FormPoly(M.m)
-        r0 = rows[0]
-        for pos, c in enumerate(cols):
-            if not M.entries[r0][c].terms:
-                continue  # a zero entry's cofactor term is zero
-            minor = det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = M.entries[r0][c] * minor
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
-
-    idx = tuple(range(M.n))
-    return det(idx, idx)
-
-
-def form_det_sqrt(M: FormMatrix) -> FormPoly:
-    """Square root of det(M) with constant term fixed to 1."""
-    d = form_det(M)
-    if not _is_zero(d.constant() - 1):
-        raise ValueError("det must have constant term 1 for the square root")
-    u = d - 1  # nilpotent
-    acc = FormPoly.scalar(1, M.m)
-    power = FormPoly.scalar(1, M.m)
-    for k in range(1, M.m // 2 + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        # binomial series sqrt(1+u): C(1/2, k) = (-1)^{k-1} C(2k,k) / (4^k (2k-1))
-        binom = Fraction((-1) ** (k - 1) * comb(2 * k, k), 4**k * (2 * k - 1))
-        acc = acc + power * _as_coeff(binom, power)
-    return acc
-
-
-def _as_coeff(frac: Fraction, sample: FormPoly):
-    """Render an exact Fraction in the coefficient domain of sample."""
-    for c in sample.terms.values():
-        if _is_sympy(c):
-            return sys.modules["sympy"].Rational(frac.numerator, frac.denominator)
-        if isinstance(c, (complex, float)):
-            return float(frac)
-    return frac
-
-
-def form_exp(M: FormMatrix) -> FormMatrix:
-    """exp(M) for a matrix with positive-degree entries (nilpotent)."""
-    return _apply_series(taylor_series("chern_char", M.m), M)
-
-
-def _as_coeff_matrix(frac: Fraction, M: FormMatrix):
-    for row in M.entries:
-        for e in row:
-            got = _as_coeff(frac, e)
-            if not isinstance(got, Fraction):
-                return got
-    return frac
-
-
 def form_pfaffian(A: FormMatrix) -> FormPoly:
     """Pfaffian of an antisymmetric FormMatrix (perfect-matching expansion)."""
     if A.n % 2:
         raise ValueError("Pfaffian needs even size")
     if not A.is_antisymmetric():
         raise ValueError("Pfaffian needs an antisymmetric matrix")
-    return pfaffian(A.entries)
-
-
-def _apply_series(coeffs: list[Fraction], X: FormMatrix) -> FormMatrix:
-    """Σ a_k X^k, truncated by nilpotency of the positive-degree entries."""
-    acc = FormMatrix.identity(X.n, X.m).scale(_as_coeff_matrix(coeffs[0], X))
-    power = FormMatrix.identity(X.n, X.m)
-    for k in range(1, len(coeffs)):
-        power = power @ X
-        if all(e.is_zero() for row in power.entries for e in row):
-            break
-        if coeffs[k] != 0:
-            acc = acc + power.scale(_as_coeff_matrix(coeffs[k], power))
-    return acc
+    return FormPoly(A.m) + pfaffian(A.entries)  # an all-zero expansion is the int 0
 
 
 _UN_FAMILY = {"chern", "todd"}
 _ON_FAMILY = {"pontryagin", "lgenus", "ahat"}
 
 
+def _check_curvature(F: FormMatrix) -> None:
+    """Raise ValueError unless every entry of F is a form of positive even degree."""
+    for row in F.entries:
+        for e in row:
+            if any(mask == 0 or mask.bit_count() % 2 for mask in e.terms):
+                raise ValueError("curvature entries must be forms of positive even degree")
+
+
+def _power_sums(X: FormMatrix) -> list[FormPoly]:
+    """[tr X, tr X², …, tr X^{m/2}]: X^k has degree ≥ 2k, so higher powers vanish."""
+    sums, power = [], X
+    for k in range(1, X.m // 2 + 1):
+        if k > 1:
+            power = power @ X
+        sums.append(form_tr(power))
+    return sums
+
+
+def _exp_nilpotent(s: FormPoly) -> FormPoly:
+    """exp(s) = Σ s^j/j! for s of positive even degree, so s^j = 0 once 2j > m."""
+    acc = term = FormPoly.scalar(1, s.m)
+    for j in range(1, s.m // 2 + 1):
+        term = term * s * Fraction(1, j)
+        if not term:
+            break
+        acc = acc + term
+    return acc
+
+
 def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
     """Evaluate the named genus on a curvature matrix F.
 
     The conventional substitution X = (i/2π) F happens here: callers pass
-    the raw curvature.  For the O(n) family and the Euler class F must be
-    antisymmetric.  With ``exact=False`` every coefficient becomes a Python
-    ``complex`` first, so no exact arithmetic runs.
+    the raw curvature, whose entries must be forms of positive even degree
+    (anything else is a ``ValueError``).  For the O(n) family and the Euler
+    class F must be antisymmetric.  With ``exact=False`` every coefficient
+    becomes a Python ``complex`` first, so no exact arithmetic runs.
+
+    Every genus but the Euler class comes from the power sums p_k = tr X^k:
+    det f(X) = exp(Σ c_k p_k) where log f(x) = Σ c_k x^k, det^{1/2} f(X)
+    halves the exponent, and tr exp(X) = n + Σ p_k/k!.
     """
+    _check_curvature(F)
     if not exact:
         F = _complex_matrix(F)
     if name == "euler":
@@ -615,20 +584,16 @@ def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
             raise ValueError("Euler class needs an antisymmetric curvature")
         factor = PiLaurent({-1: Fraction(1, 2)}) if exact else 1.0 / (2 * _PI)
         return form_pfaffian(F.scale(factor))
-    two_pi_i = PiLaurent({-1: QI(0, Fraction(1, 2))}) if exact else (1j / (2 * _PI))
-    X = F.scale(two_pi_i)
-    order = F.m + 1
+    if name not in _UN_FAMILY | _ON_FAMILY | {"chern_char"}:
+        raise ValueError(f"unknown genus {name!r}")
+    if name in _ON_FAMILY and not F.is_antisymmetric():
+        raise ValueError(f"{name} needs an antisymmetric curvature")
+    p = _power_sums(F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))}) if exact else 1j / (2 * _PI)))
     if name == "chern_char":
-        return form_tr(form_exp(X))
-    coeffs = taylor_series(name, order)
-    fX = _apply_series(coeffs, X)
-    if name in _UN_FAMILY:
-        return form_det(fX)
-    if name in _ON_FAMILY:
-        if not F.is_antisymmetric():
-            raise ValueError(f"{name} needs an antisymmetric curvature")
-        return form_det_sqrt(fX)
-    raise ValueError(f"unknown genus {name!r}")
+        return sum((pk * Fraction(1, factorial(k)) for k, pk in enumerate(p, 1)), FormPoly.scalar(F.n, F.m))
+    c = _log_series(taylor_series(name, len(p)))
+    half = Fraction(1, 2) if name in _ON_FAMILY else 1
+    return _exp_nilpotent(sum((pk * (half * c[k]) for k, pk in enumerate(p, 1)), FormPoly(F.m)))
 
 
 def _complex_matrix(F: FormMatrix) -> FormMatrix:

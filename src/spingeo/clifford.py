@@ -71,10 +71,15 @@ class QI:
             return QI(other)
         return None
 
+    # Another number (float, complex, a numpy or sympy number) turns the
+    # arithmetic into complex; any other operand (a PiLaurent, a sympy
+    # symbol) is NotImplemented, so its own reflected method keeps the
+    # result exact.
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) + other
+            return complex(self) + other if isinstance(other, numbers.Complex) else NotImplemented
         return QI(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -91,7 +96,7 @@ class QI:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) * other
+            return complex(self) * other if isinstance(other, numbers.Complex) else NotImplemented
         return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
@@ -99,7 +104,7 @@ class QI:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) / other
+            return complex(self) / other if isinstance(other, numbers.Complex) else NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -108,7 +113,7 @@ class QI:
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return other / complex(self)
+            return other / complex(self) if isinstance(other, numbers.Complex) else NotImplemented
         return o / self
 
     def conjugate(self) -> "QI":
@@ -141,6 +146,11 @@ class QI:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
+
+    def _sympy_(self):
+        import sympy
+
+        return sympy.Rational(self.re) + sympy.I * sympy.Rational(self.im)
 
     def __repr__(self):
         return f"QI({self.re!r}, {self.im!r})"

@@ -12,7 +12,9 @@ def pfaffian(a) -> complex:
     """Pfaffian of an antisymmetric matrix by recursive expansion.
 
     Works over any commutative coefficient ring (floats, Fractions, form
-    polynomials); intended for the small matrices appearing here.
+    polynomials); intended for the small matrices appearing here.  Zero
+    entries and zero minors are skipped, so a matrix whose expansion is
+    all zero gives the int 0.
     """
     rows = [list(r) for r in a]
     m = len(rows)
@@ -25,10 +27,16 @@ def pfaffian(a) -> complex:
         i0 = idx[0]
         total = 0
         for pos, j in enumerate(idx[1:], start=1):
+            if not rows[i0][j]:
+                continue
+            term = rows[i0][j]
             rest = idx[1:pos] + idx[pos + 1 :]
-            sign = -1 if (pos - 1) % 2 else 1
-            term = rows[i0][j] * rec(rest)
-            total = total + (term if sign > 0 else -term)
+            if rest:
+                minor = rec(rest)
+                if not minor:
+                    continue
+                term = term * minor
+            total = total + (-term if (pos - 1) % 2 else term)
         return total
 
     return rec(tuple(range(m)))

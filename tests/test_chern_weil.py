@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from spingeo.chern_weil import (
     FormMatrix,
     FormPoly,
     PiLaurent,
+    _is_sympy,
+    _is_zero,
     bernoulli,
     curvature_model,
-    form_det,
-    form_det_sqrt,
-    form_exp,
     form_pfaffian,
     form_tr,
     genus_eval,
@@ -29,6 +29,96 @@ from spingeo.chern_weil import (
     taylor_series,
 )
 from spingeo.clifford import QI
+
+
+# -- the reference: det f(X), det^{1/2} f(X) and tr exp(X) from the matrix f(X) --
+#
+# genus_eval computes every genus from the power sums tr X^k.  These build
+# the matrix f(X) = Σ a_k X^k and expand its determinant by cofactors (n!
+# work), the definitions themselves, and the property tests compare the two.
+
+def form_det(M: FormMatrix) -> FormPoly:
+    """Determinant by cofactor expansion (entries commute)."""
+
+    def det(rows, cols):
+        if len(cols) == 1:
+            return M.entries[rows[0]][cols[0]]
+        acc = FormPoly(M.m)
+        r0 = rows[0]
+        for pos, c in enumerate(cols):
+            if not M.entries[r0][c].terms:
+                continue  # a zero entry's cofactor term is zero
+            minor = det(rows[1:], cols[:pos] + cols[pos + 1 :])
+            term = M.entries[r0][c] * minor
+            acc = acc + (term if pos % 2 == 0 else -term)
+        return acc
+
+    idx = tuple(range(M.n))
+    return det(idx, idx)
+
+
+def form_det_sqrt(M: FormMatrix) -> FormPoly:
+    """Square root of det(M) with constant term fixed to 1."""
+    d = form_det(M)
+    if not _is_zero(d.constant() - 1):
+        raise ValueError("det must have constant term 1 for the square root")
+    u = d - 1  # nilpotent
+    acc = FormPoly.scalar(1, M.m)
+    power = FormPoly.scalar(1, M.m)
+    for k in range(1, M.m // 2 + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        # binomial series sqrt(1+u): C(1/2, k) = (-1)^{k-1} C(2k,k) / (4^k (2k-1))
+        binom = Fraction((-1) ** (k - 1) * comb(2 * k, k), 4**k * (2 * k - 1))
+        acc = acc + power * _as_coeff(binom, power)
+    return acc
+
+
+def _as_coeff(frac: Fraction, sample: FormPoly):
+    """Render an exact Fraction in the coefficient domain of sample."""
+    for c in sample.terms.values():
+        if _is_sympy(c):
+            return sympy.Rational(frac.numerator, frac.denominator)
+        if isinstance(c, (complex, float)):
+            return float(frac)
+    return frac
+
+
+def form_exp(M: FormMatrix) -> FormMatrix:
+    """exp(M) for a matrix with positive-degree entries (nilpotent)."""
+    return apply_series(taylor_series("chern_char", M.m), M)
+
+
+def _as_coeff_matrix(frac: Fraction, M: FormMatrix):
+    for row in M.entries:
+        for e in row:
+            got = _as_coeff(frac, e)
+            if not isinstance(got, Fraction):
+                return got
+    return frac
+
+
+def apply_series(coeffs: list[Fraction], X: FormMatrix) -> FormMatrix:
+    """Σ a_k X^k, truncated by nilpotency of the positive-degree entries."""
+    acc = FormMatrix.identity(X.n, X.m).scale(_as_coeff_matrix(coeffs[0], X))
+    power = FormMatrix.identity(X.n, X.m)
+    for k in range(1, len(coeffs)):
+        power = power @ X
+        if all(e.is_zero() for row in power.entries for e in row):
+            break
+        if coeffs[k] != 0:
+            acc = acc + power.scale(_as_coeff_matrix(coeffs[k], power))
+    return acc
+
+
+def reference_genus(name: str, F: FormMatrix) -> FormPoly:
+    """The named series genus of F from the matrix f(X), X = (i/2π) F, exactly."""
+    X = F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))}))
+    if name == "chern_char":
+        return form_tr(form_exp(X))
+    fX = apply_series(taylor_series(name, F.m + 1), X)
+    return form_det(fX) if name in ("chern", "todd") else form_det_sqrt(fX)
 
 
 class TestBernoulli:
@@ -161,6 +251,14 @@ class TestPiLaurent:
         assert PI * 1.0 == 3.141592653589793
         assert {two: "x"}[2] == "x"
 
+    def test_gaussian_rational_on_the_left_stays_exact(self):
+        # QI leaves an operand it does not know to that operand's reflected method
+        assert QI(1) * PI == PI * QI(1) and isinstance(QI(1) * PI, PiLaurent)
+        assert QI(1, 1) + PI == PI + QI(1, 1) and QI(2) - PI == -(PI - 2)
+        assert isinstance(QI(1) * 1.0, complex) and isinstance(QI(1) + 1j, complex)
+        a = sympy.Symbol("a")
+        assert QI(1, 2) * a == a * QI(1, 2) == (1 + 2 * sympy.I) * a
+
 
 class TestFormPoly:
     def test_anticommuting_generators(self):
@@ -272,22 +370,6 @@ class TestFormMatrixOps:
         assert not det.is_zero()
         assert det == form_det(A) * form_det(B)
 
-    def test_det_skips_zero_entries_of_product_curvature(self, monkeypatch):
-        # the cofactor expansion must not recurse into minors of zero
-        # entries: expanding every minor of this block-diagonal curvature
-        # costs about 70 000 FormPoly products, skipping them about 1 200
-        F = product_model(curvature_model("sphere4"), curvature_model("sphere4")).F
-        calls = [0]
-        mul = FormPoly.__mul__
-
-        def counting_mul(self, other):
-            calls[0] += 1
-            return mul(self, other)
-
-        monkeypatch.setattr(FormPoly, "__mul__", counting_mul)
-        assert genus_eval("ahat", F).top_coefficient() == 0
-        assert calls[0] < 5000
-
     def test_trace_of_antisymmetric_vanishes(self):
         F = curvature_model("sphere4").F
         assert form_tr(F).is_zero()
@@ -349,6 +431,57 @@ class TestPfaffian:
             form_pfaffian(FormMatrix.identity(2, 2))
 
 
+@st.composite
+def curvatures(draw, antisymmetric: bool):
+    """Random curvature of 2- and 4-forms: antisymmetric with n ≤ 4, m ≤ 8, else n = 3, m = 6.
+
+    The matrix comes from a drawn seed: hypothesis's own draws repeat one
+    monomial in every entry, where all products vanish.  Coefficients are
+    nonzero rationals or, for a drawn flag, Gaussian rationals.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gaussian = draw(st.booleans())
+    n, m = (rng.randint(2, 4), rng.randint(2, 8)) if antisymmetric else (3, 6)
+    masks = [mask for mask in range(1, 1 << m) if mask.bit_count() in (2, 4)]
+
+    def entry():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            terms[rng.choice(masks)] = QI(q, Fraction(rng.randint(-9, 9), rng.randint(1, 6))) if gaussian else q
+        return FormPoly(m, terms)
+
+    F = FormMatrix.zero(n, m)
+    for i in range(n):
+        for j in range(i + 1 if antisymmetric else 0, n):
+            F.entries[i][j] = entry()
+            if antisymmetric:
+                F.entries[j][i] = -F.entries[i][j]
+    return F
+
+
+class TestPowerSumsAgainstReference:
+    """genus_eval (power sums) equals det f(X), det^{1/2} f(X) or tr exp X, exactly."""
+
+    @staticmethod
+    def _check(name, F):
+        got = genus_eval(name, F)
+        assert got == reference_genus(name, F)
+        assert all(isinstance(c, PiLaurent) for mask, c in got.terms.items() if mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("chern", "todd", "chern_char", "pontryagin", "lgenus", "ahat")),
+           curvatures(antisymmetric=True))
+    def test_antisymmetric_curvature(self, name, F):
+        self._check(name, F)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("chern", "todd", "chern_char")), curvatures(antisymmetric=False))
+    def test_general_curvature_unitary_family(self, name, F):
+        # tr X ≠ 0 here, so exp's s³ term survives at m = 6
+        self._check(name, F)
+
+
 class TestGenusEval:
     def test_first_chern_part_is_trace(self):
         # degree-2 part of the total Chern class equals tr((i/2π)F)
@@ -376,21 +509,46 @@ class TestGenusEval:
         with pytest.raises(ValueError):
             genus_eval("witten", curvature_model("sphere2").F)
 
-    def test_pontryagin_equals_minus_trace_f_squared(self):
-        # p1(F) = -(1/8π²) tr(F∧F), symbolically on a generic antisymmetric F
+    def test_pontryagin_equals_sum_of_principal_minors(self):
+        # p1(F) = e2(F/2π) = (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji), symbolically
+        # on a generic antisymmetric F: the determinant's side, with no trace
         m = 4
-        c01 = FormPoly.monomial((1, 2), m, sympy.Symbol("a"))
-        c23 = FormPoly.monomial((3, 4), m, sympy.Symbol("b"))
-        c02 = FormPoly.monomial((1, 3), m, sympy.Symbol("c"))
+        a, b, c, d = sympy.symbols("a b c d")
+        c01 = FormPoly.monomial((1, 2), m, a) + FormPoly.monomial((3, 4), m, d)
+        c23 = FormPoly.monomial((3, 4), m, b)
+        c02 = FormPoly.monomial((1, 3), m, c) + FormPoly.monomial((2, 4), m, a)
         F = FormMatrix.zero(4, m)
-        for (i, j), c in [((0, 1), c01), ((2, 3), c23), ((0, 2), c02)]:
-            F.entries[i][j] = c
-            F.entries[j][i] = -c
+        for (i, j), entry in [((0, 1), c01), ((2, 3), c23), ((0, 2), c02)]:
+            F.entries[i][j] = entry
+            F.entries[j][i] = -entry
         p = genus_eval("pontryagin", F)
-        trF2 = form_tr(F @ F)
+        e = F.entries
+        minors = sum(
+            (e[i][i] * e[j][j] - e[i][j] * e[j][i] for i, j in itertools.combinations(range(4), 2)),
+            FormPoly(m),
+        )
         lhs = p.degree_part(4)
-        rhs = trF2 * (sympy.Rational(-1, 8) / sympy.pi**2)
+        rhs = minors * (sympy.Rational(1, 4) / sympy.pi**2)
+        assert not lhs.expand().is_zero()
         assert (lhs - rhs).expand().is_zero()
+
+    @pytest.mark.parametrize("name, bound", [("ahat", 200), ("euler", 79)], ids=["ahat", "euler"])
+    def test_form_products_on_product_curvature(self, monkeypatch, name, bound):
+        # matrix products and the Pfaffian skip zero entries: on the block-
+        # diagonal S⁴×S⁴ curvature Â takes 142 FormPoly products and the
+        # Euler class 79
+        F = product_model(curvature_model("sphere4"), curvature_model("sphere4")).F
+        calls = [0]
+        mul = FormPoly.__mul__
+
+        def counting_mul(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(FormPoly, "__mul__", counting_mul)
+        top = genus_eval(name, F).top_coefficient()
+        assert top == (PiLaurent({-4: Fraction(9, 16)}) if name == "euler" else 0)
+        assert calls[0] <= bound
 
     def test_invariance_under_conjugation(self):
         rng = np.random.default_rng(17)

@@ -91,6 +91,21 @@ class TestGenus:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("name", ["chern", "ahat", "euler"])
+    @pytest.mark.parametrize("indices", [[], [1]], ids=["constant", "one_form"])
+    def test_non_curvature_model_file_exits_2(self, capsys, tmp_path, name, indices):
+        # genera need entries of positive even degree: constants and 1-forms are rejected
+        entries = [[1, 2, [[indices, "1"]]], [2, 1, [[indices, "-1"]]]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "entries": entries, "volume": "1"}))
+        code = main(["genus", "--name", name, "--model-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "positive even degree" in captured.err
+        assert captured.out == ""
+
+
 class TestCech:
     def test_torus_spin_structures(self, capsys):
         code, out = run_cli(capsys, ["cech", "--nerve", "torus", "--w2", "--format", "json"])
