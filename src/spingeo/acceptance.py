@@ -143,13 +143,13 @@ def criterion_spinor_representation() -> CheckResult:
 
 # 5 ---------------------------------------------------------------------------
 
-def criterion_twisted_adjoint(seed: int = 0, samples: int = 1000) -> CheckResult:
+def criterion_twisted_adjoint(seed: int = 0) -> CheckResult:
     """Random unit-vector products: orthogonality, det +1 on Spin, reflections."""
     rng = np.random.default_rng(seed)
     n = 4
     sig = Signature(n, 0)
     worst = 0.0
-    for trial in range(samples):
+    for _ in range(1000):
         length = int(rng.integers(1, 6))
         x = Multivector.scalar(complex(1.0), sig)
         for _ in range(length):
@@ -171,7 +171,7 @@ def criterion_twisted_adjoint(seed: int = 0, samples: int = 1000) -> CheckResult
             continue
         if spinrep.twisted_adjoint(v, w) != spinrep.reflection_formula(v, w):
             return CheckResult("twisted adjoint", False, "reflection formula mismatch")
-    return CheckResult("twisted adjoint", True, f"{samples} products orthogonal (worst {worst:.2e}), reflections exact")
+    return CheckResult("twisted adjoint", True, f"1000 products orthogonal (worst {worst:.2e}), reflections exact")
 
 
 # 6 ---------------------------------------------------------------------------
@@ -252,10 +252,10 @@ def criterion_chern_gauss_bonnet() -> CheckResult:
 
 # 9 ---------------------------------------------------------------------------
 
-def criterion_cech(seed: int = 0, trials: int = 1000) -> CheckResult:
+def criterion_cech(seed: int = 0) -> CheckResult:
     """δ² triviality plus spin-structure counts 2 / 1 / 4 with torsor checks."""
     rng = random.Random(seed)
-    for trial in range(trials):
+    for trial in range(1000):
         patches = rng.randint(3, 6)
         all_triples = list(combinations(range(patches), 3))
         chosen = [t for t in all_triples if rng.random() < 0.5]
@@ -277,7 +277,7 @@ def criterion_cech(seed: int = 0, trials: int = 1000) -> CheckResult:
             return CheckResult("Čech suite", False, f"{name}: got {report.count}, want {want}")
         if not report.torsor_verified:
             return CheckResult("Čech suite", False, f"{name}: H¹ action not a verified torsor")
-    return CheckResult("Čech suite", True, f"δ² trivial ({trials} trials); spin counts 2/1/4 with torsor")
+    return CheckResult("Čech suite", True, "δ² trivial (1000 trials); spin counts 2/1/4 with torsor")
 
 
 # 10 ---------------------------------------------------------------------------

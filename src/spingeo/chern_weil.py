@@ -11,22 +11,21 @@ pass the raw (real, antisymmetric) curvature matrix ``F`` (Milnor-Stasheff,
 from the power sums ``tr X^k``, which generate the invariant polynomials
 (ibid., §16).
 
-Coefficients are exact by default: with rational curvature, as in the
+The coefficients choose the arithmetic.  With rational curvature, as in the
 built-in models, every coefficient lies in Q(i)[π, π⁻¹] and is computed in
 :class:`PiLaurent`, without sympy.  sympy enters only with symbols: a model
 file (:func:`model_from_dict`) or symbolic coefficients passed in by the
 caller, which :class:`PiLaurent` hands over to sympy through ``_sympy_``.
-Complex floats serve numerical spot checks; arithmetic is agnostic.
+Complex coefficients give complex values.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, pi as _PI
 
-from .clifford import QI, _sign_mask
+from .clifford import QI, _is_sympy, _sign_mask
 from .pfaffian import pfaffian
 
 
@@ -128,12 +127,6 @@ def genus_expand(name: str) -> dict[str, Fraction]:
 
 
 # -- the exact scalar ring Q(i)[π, π⁻¹] -----------------------------------------
-
-def _is_sympy(c) -> bool:
-    """Whether c is a sympy value, without importing sympy: only a loaded sympy makes one."""
-    sympy = sys.modules.get("sympy")
-    return sympy is not None and isinstance(c, sympy.Basic)
-
 
 _ZERO = Fraction(0)
 
@@ -399,10 +392,6 @@ class FormPoly:
     def degree_part(self, d: int) -> "FormPoly":
         return FormPoly(self.m, {mask: c for mask, c in self.terms.items() if mask.bit_count() == d})
 
-    def max_abs(self) -> float:
-        """Largest coefficient magnitude (float mode residuals)."""
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
-
     def expand(self) -> "FormPoly":
         return FormPoly(
             self.m,
@@ -465,7 +454,7 @@ class FormMatrix:
         )
 
     def scale(self, factor) -> "FormMatrix":
-        return FormMatrix([[e * factor for e in row] for row in self.entries])
+        return FormMatrix([[e * factor if e else e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
         n = self.n
@@ -482,36 +471,9 @@ class FormMatrix:
             out.append(row)
         return FormMatrix(out)
 
-    def conjugate_by(self, g) -> "FormMatrix":
-        """G M G^{-1} for a scalar invertible matrix G."""
-        import numpy as np
-
-        g = np.asarray(g)
-        ginv = np.linalg.inv(g)
-        n = self.n
-        out = FormMatrix.zero(n, self.m)
-        for i in range(n):
-            for j in range(n):
-                acc = FormPoly(self.m)
-                for k in range(n):
-                    for l in range(n):
-                        acc = acc + self.entries[k][l] * complex(g[i, k] * ginv[l, j])
-                out.entries[i][j] = acc
-        return out
-
-    def is_antisymmetric(self, tol: float = 1e-9) -> bool:
-        for i in range(self.n):
-            for j in range(i, self.n):
-                s = self.entries[i][j] + self.entries[j][i]
-                if s.is_zero():
-                    continue
-                try:
-                    if s.max_abs() <= tol:  # float-mode rounding slack
-                        continue
-                except TypeError:
-                    pass
-                return False
-        return True
+    def is_antisymmetric(self) -> bool:
+        e = self.entries
+        return all((e[i][j] + e[j][i]).is_zero() for i in range(self.n) for j in range(i, self.n))
 
 
 def form_tr(M: FormMatrix) -> FormPoly:
@@ -563,54 +525,34 @@ def _exp_nilpotent(s: FormPoly) -> FormPoly:
     return acc
 
 
-def genus_eval(name: str, F: FormMatrix, exact: bool = True) -> FormPoly:
+def genus_eval(name: str, F: FormMatrix) -> FormPoly:
     """Evaluate the named genus on a curvature matrix F.
 
     The conventional substitution X = (i/2π) F happens here: callers pass
     the raw curvature, whose entries must be forms of positive even degree
     (anything else is a ``ValueError``).  For the O(n) family and the Euler
-    class F must be antisymmetric.  With ``exact=False`` every coefficient
-    becomes a Python ``complex`` first, so no exact arithmetic runs.
+    class F must be antisymmetric.  The factors 1/(2π) and i/(2π) are exact
+    :class:`PiLaurent` constants, so F's coefficients choose the arithmetic.
 
     Every genus but the Euler class comes from the power sums p_k = tr X^k:
     det f(X) = exp(Σ c_k p_k) where log f(x) = Σ c_k x^k, det^{1/2} f(X)
     halves the exponent, and tr exp(X) = n + Σ p_k/k!.
     """
     _check_curvature(F)
-    if not exact:
-        F = _complex_matrix(F)
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
-        factor = PiLaurent({-1: Fraction(1, 2)}) if exact else 1.0 / (2 * _PI)
-        return form_pfaffian(F.scale(factor))
+        return form_pfaffian(F.scale(PiLaurent({-1: Fraction(1, 2)})))
     if name not in _UN_FAMILY | _ON_FAMILY | {"chern_char"}:
         raise ValueError(f"unknown genus {name!r}")
     if name in _ON_FAMILY and not F.is_antisymmetric():
         raise ValueError(f"{name} needs an antisymmetric curvature")
-    p = _power_sums(F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))}) if exact else 1j / (2 * _PI)))
+    p = _power_sums(F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))})))
     if name == "chern_char":
         return sum((pk * Fraction(1, factorial(k)) for k, pk in enumerate(p, 1)), FormPoly.scalar(F.n, F.m))
     c = _log_series(taylor_series(name, len(p)))
     half = Fraction(1, 2) if name in _ON_FAMILY else 1
     return _exp_nilpotent(sum((pk * (half * c[k]) for k, pk in enumerate(p, 1)), FormPoly(F.m)))
-
-
-def _complex_matrix(F: FormMatrix) -> FormMatrix:
-    """F with every coefficient converted to ``complex``; symbols are a ``ValueError``."""
-    try:
-        return FormMatrix([[FormPoly(F.m, {k: complex(c) for k, c in e.terms.items()}) for e in row] for row in F.entries])
-    except TypeError as exc:
-        raise ValueError(f"the float path needs numeric coefficients: {exc}") from None
-
-
-def invariance_check(name: str, F: FormMatrix, G, exact: bool = False) -> float:
-    """Max-norm residual between genus(F) and genus(G F G^{-1})."""
-    if not exact:
-        F = _complex_matrix(F)
-    base = genus_eval(name, F, exact=exact)
-    conj = genus_eval(name, F.conjugate_by(G), exact=exact)
-    return (base - conj).max_abs()
 
 
 # -- curvature models ----------------------------------------------------------

@@ -51,6 +51,12 @@ def _validate_signature(sig: Signature) -> Signature:
     return sig
 
 
+def _is_sympy(c) -> bool:
+    """Whether c is a sympy value, without importing sympy: only a loaded sympy makes one."""
+    sympy = sys.modules.get("sympy")
+    return sympy is not None and isinstance(c, sympy.Basic)
+
+
 class QI:
     """Gaussian rational a + b*i with exact Fraction components."""
 
@@ -71,15 +77,17 @@ class QI:
             return QI(other)
         return None
 
-    # Another number (float, complex, a numpy or sympy number) turns the
-    # arithmetic into complex; any other operand (a PiLaurent, a sympy
-    # symbol) is NotImplemented, so its own reflected method keeps the
-    # result exact.
+    # A float, complex or numpy number turns the arithmetic into complex;
+    # any other operand (a PiLaurent, a sympy number or symbol) is
+    # NotImplemented, so its own reflected method keeps the result exact.
+    @staticmethod
+    def _inexact(other) -> bool:
+        return isinstance(other, (float, complex)) or (isinstance(other, numbers.Complex) and not _is_sympy(other))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) + other if isinstance(other, numbers.Complex) else NotImplemented
+            return complex(self) + other if self._inexact(other) else NotImplemented
         return QI(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -96,7 +104,7 @@ class QI:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) * other if isinstance(other, numbers.Complex) else NotImplemented
+            return complex(self) * other if self._inexact(other) else NotImplemented
         return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
@@ -104,7 +112,7 @@ class QI:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return complex(self) / other if isinstance(other, numbers.Complex) else NotImplemented
+            return complex(self) / other if self._inexact(other) else NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -113,7 +121,7 @@ class QI:
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return other / complex(self) if isinstance(other, numbers.Complex) else NotImplemented
+            return other / complex(self) if self._inexact(other) else NotImplemented
         return o / self
 
     def conjugate(self) -> "QI":
@@ -422,11 +430,11 @@ class Multivector:
         """N(phi) = phi * grade_involution(transpose(phi))."""
         return self * self.transpose().grade_involution()
 
-    def clifford_inverse(self, atol: float = 1e-9) -> "Multivector":
+    def clifford_inverse(self) -> "Multivector":
         """Inverse for elements whose norm is a nonzero scalar (Clifford group).
 
-        In float mode, non-scalar norm components below ``atol`` (relative
-        to the scalar part) are treated as rounding noise.
+        In float mode, non-scalar norm components below 1e-9 (relative to
+        the scalar part) are treated as rounding noise.
         """
         conj = self.transpose().grade_involution()
         n = self * conj
@@ -434,7 +442,7 @@ class Multivector:
         stray = [c for b, c in n.terms.items() if b != 0]
         if stray:
             floaty = any(isinstance(c, (float, complex)) for c in n.terms.values())
-            bound = atol * max(1.0, abs(complex(scalar))) if floaty else 0
+            bound = 1e-9 * max(1.0, abs(complex(scalar))) if floaty else 0
             if not floaty or any(abs(complex(c)) > bound for c in stray):
                 raise ValueError("element has no scalar norm; cannot invert")
         if scalar == 0:
@@ -451,7 +459,7 @@ class Multivector:
         return format_mv(self)
 
 
-def volume_element(n: int, sig: Signature | None = None) -> Multivector:
+def volume_element(n: int) -> Multivector:
     """Complex volume element omega = i^floor((n+1)/2) e_1 ... e_n in Cl(n,0)⊗C.
 
     Satisfies omega^2 = 1; central for n odd, and for n even anticommutes
@@ -459,16 +467,12 @@ def volume_element(n: int, sig: Signature | None = None) -> Multivector:
     """
     if n < 1:
         raise ValueError("volume element needs n >= 1")
-    if sig is None:
-        sig = Signature(n, 0)
-    if Signature(*sig).n != n:
-        raise ValueError("signature dimension must equal n")
     power = (n + 1) // 2
     coeff = QI(1)
     for _ in range(power):
         coeff = coeff * QI_I
     mask = (1 << n) - 1
-    return Multivector(sig, {mask: coeff})
+    return Multivector(Signature(n, 0), {mask: coeff})
 
 
 def supercommutator(a: Multivector, b: Multivector) -> Multivector:

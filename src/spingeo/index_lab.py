@@ -18,7 +18,7 @@ one validated by the eigenfunction oracle, see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # -- spectral models ----------------------------------------------------------
@@ -29,8 +29,6 @@ class SpectralModel:
 
     name: str
     entries: list[tuple[float, int, int]]
-    cutoff: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.entries = sorted(self.entries)
@@ -84,7 +82,7 @@ def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
     for n in range(-cutoff, cutoff + 1):
         entries.append(((2 * math.pi * (n - lam)) ** 2, 1, +1))
         entries.append(((2 * math.pi * (n + lam)) ** 2, 1, -1))
-    return SpectralModel("dlambda", entries, cutoff, {"lambda": lam})
+    return SpectralModel("dlambda", entries)
 
 
 def torus_dirac_model(delta: tuple[float, float], cutoff: int) -> SpectralModel:
@@ -106,7 +104,7 @@ def torus_dirac_model(delta: tuple[float, float], cutoff: int) -> SpectralModel:
             lam = 4 * math.pi**2 * k2
             entries.append((lam, 1, +1))
             entries.append((lam, 1, -1))
-    return SpectralModel("torus_dirac", entries, cutoff, {"delta": tuple(delta)})
+    return SpectralModel("torus_dirac", entries)
 
 
 def sphere2_hodge_model(l_max: int) -> SpectralModel:
@@ -124,7 +122,7 @@ def sphere2_hodge_model(l_max: int) -> SpectralModel:
         entries.append((float(l * (l + 1)), 2 * (2 * l + 1), +1))
         if l >= 1:
             entries.append((float(l * (l + 1)), 2 * (2 * l + 1), -1))
-    return SpectralModel("sphere2_hodge", entries, l_max)
+    return SpectralModel("sphere2_hodge", entries)
 
 
 def torus2_hodge_model(cutoff: int) -> SpectralModel:
@@ -135,7 +133,7 @@ def torus2_hodge_model(cutoff: int) -> SpectralModel:
             lam = 4 * math.pi**2 * (n * n + m * m)
             entries.append((lam, 2, +1))
             entries.append((lam, 2, -1))
-    return SpectralModel("torus2_hodge", entries, cutoff)
+    return SpectralModel("torus2_hodge", entries)
 
 
 def sphere2_tail_bound(t: float, l_max: int) -> float:
@@ -224,11 +222,11 @@ def oscillator_eigen_expansion(t: float, x: float, y: float, a: float, terms: in
     return total
 
 
-def _composite_gauss_legendre(L: float, panels: int = 16, order: int = 24):
-    """Deterministic composite Gauss-Legendre nodes/weights on [-L, L]."""
+def _composite_gauss_legendre(L: float, panels: int):
+    """Deterministic composite Gauss-Legendre nodes/weights on [-L, L], 24 nodes per panel."""
     import numpy as np
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     edges = np.linspace(-L, L, panels + 1)
     zs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -237,19 +235,17 @@ def _composite_gauss_legendre(L: float, panels: int = 16, order: int = 24):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def semigroup_residual(kernel, t1: float, t2: float, xs, L: float | None = None) -> float:
+def semigroup_residual(kernel, t1: float, t2: float, xs) -> float:
     """Max |∫ k(t1,x,z)k(t2,z,y)dz - k(t1+t2,x,y)| over the grid xs × xs.
 
-    Quadrature is composite Gauss-Legendre on [-L, L] with
-    L = max(8√(t1+t2), 8) by default; node placement is deterministic.
+    Quadrature is composite Gauss-Legendre with 16 panels on [-L, L],
+    L = max(8√(t1+t2), 8); node placement is deterministic.
     """
     import numpy as np
 
     if t1 <= 0 or t2 <= 0:
         raise ValueError("times must be positive")
-    if L is None:
-        L = max(8.0 * math.sqrt(t1 + t2), 8.0)
-    z, w = _composite_gauss_legendre(L)
+    z, w = _composite_gauss_legendre(max(8.0 * math.sqrt(t1 + t2), 8.0), 16)
     residual = 0.0
     for x in xs:
         left = np.array([kernel(t1, x, zz) for zz in z])
@@ -260,11 +256,11 @@ def semigroup_residual(kernel, t1: float, t2: float, xs, L: float | None = None)
     return residual
 
 
-def delta_limit_error(kernel, f, t: float, x: float, L: float = 8.0, panels: int = 256) -> float:
-    """|∫ k(t,x,y) f(y) dy - f(x)| by composite Gauss-Legendre quadrature."""
+def delta_limit_error(kernel, f, t: float, x: float) -> float:
+    """|∫ k(t,x,y) f(y) dy - f(x)| by composite Gauss-Legendre quadrature, 256 panels on [-8, 8]."""
     import numpy as np
 
-    z, w = _composite_gauss_legendre(L, panels=panels, order=24)
+    z, w = _composite_gauss_legendre(8.0, 256)
     vals = np.array([kernel(t, x, zz) * f(zz) for zz in z])
     return abs(float(np.sum(w * vals)) - f(x))
 
@@ -281,8 +277,8 @@ def dirac_symbol(xi, n: int) -> np.ndarray:
     return 1j * space.c_vector(np.asarray(xi, dtype=float))
 
 
-def symbol_is_elliptic(xi, n: int, tol: float = 1e-10) -> bool:
-    """Invertibility of σ(D)(ξ) for ξ ≠ 0 (σ(ξ)² = |ξ|² under our signs)."""
+def symbol_is_elliptic(xi, n: int) -> bool:
+    """Invertibility of σ(D)(ξ) for ξ ≠ 0 (σ(ξ)² = |ξ|² under our signs): every |eigenvalue| > 1e-10 |ξ|."""
     import numpy as np
 
     xi = np.asarray(xi, dtype=float)
@@ -290,4 +286,4 @@ def symbol_is_elliptic(xi, n: int, tol: float = 1e-10) -> bool:
     norm2 = float(xi @ xi)
     if norm2 == 0:
         return False
-    return bool(np.min(np.abs(np.linalg.eigvals(sym))) > tol * math.sqrt(norm2))
+    return bool(np.min(np.abs(np.linalg.eigvals(sym))) > 1e-10 * math.sqrt(norm2))

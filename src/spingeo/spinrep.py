@@ -51,11 +51,11 @@ def reflection_formula(v: Multivector, w: Multivector) -> Multivector:
     return w - (2 * gvw / gvv) * v
 
 
-def twisted_adjoint_matrix(x: Multivector, dtype=complex) -> np.ndarray:
+def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     """Matrix of ρ̃(x) restricted to the degree-1 subspace."""
     sig = x.signature
     n = sig.n
-    out = np.zeros((n, n), dtype=dtype)
+    out = np.zeros((n, n), dtype=complex)
     xe = x.grade_involution()
     xi = x.clifford_inverse()
     for j in range(1, n + 1):
@@ -65,7 +65,7 @@ def twisted_adjoint_matrix(x: Multivector, dtype=complex) -> np.ndarray:
             raise ValueError("twisted adjoint did not preserve degree 1")
         for i in range(1, n + 1):
             c = image.terms.get(1 << (i - 1), 0)
-            out[i - 1, j - 1] = complex(c) if dtype is complex else c
+            out[i - 1, j - 1] = complex(c)
     return out
 
 
@@ -202,9 +202,11 @@ def relative_supertrace(F: np.ndarray, module: ExteriorModule) -> complex:
 
 #: |sin(θ/2)| at or below this, for θ ≥ 2π, is a pole of (θ/2)/sin(θ/2).
 _POLE_TOL = 1e-12
+#: Largest |B + Bᵀ| an antisymmetric input may have.
+_ANTISYMMETRY_TOL = 1e-12
 
 
-def ahat_matrix_det_sqrt(B: np.ndarray, atol: float = 1e-12) -> float:
+def ahat_matrix_det_sqrt(B: np.ndarray) -> float:
     """det^{1/2} Â(B) for a real antisymmetric matrix, in closed form.
 
     With Â(x) = (x/2)/sinh(x/2) and the eigenvalues of B written ±iθ_j
@@ -217,7 +219,7 @@ def ahat_matrix_det_sqrt(B: np.ndarray, atol: float = 1e-12) -> float:
     m = B.shape[0]
     if B.shape != (m, m):
         raise ValueError("B must be square")
-    if m and np.max(np.abs(B + B.T)) > atol:
+    if m and np.max(np.abs(B + B.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("B must be antisymmetric")
     mu = np.linalg.eigvalsh(B.T @ B)  # ascending: the θ_j² in pairs, one extra 0 if m is odd
     if m % 2:
@@ -229,7 +231,7 @@ def ahat_matrix_det_sqrt(B: np.ndarray, atol: float = 1e-12) -> float:
     return float(np.prod(1.0 / np.sinc(theta / (2 * np.pi))))
 
 
-def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex, complex]:
+def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
     """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A).
 
     The left side is a dense matrix exponential on the 2^n-dimensional
@@ -244,7 +246,7 @@ def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex,
     n = A.shape[0]
     if A.shape != (n, n) or n % 2:
         raise ValueError("A must be square of even size")
-    if np.max(np.abs(A + A.T)) > atol:
+    if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
     module = ExteriorModule(n)
     quad = np.zeros((module.dim, module.dim), dtype=complex)
@@ -254,7 +256,7 @@ def berezin_supertrace_exp(A: np.ndarray, atol: float = 1e-12) -> tuple[complex,
                 quad += 0.5 * A[i - 1, j - 1] * (module.c_tilde(i) @ module.c_tilde(j))
     w, V = np.linalg.eigh(1j * quad)
     lhs = relative_supertrace((V * np.exp(-1j * w)) @ V.conj().T, module)
-    rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(-2.0 * A, 2 * atol)
+    rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(A.T - A)  # -2A, exactly antisymmetric
     return lhs, complex(rhs)
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from spingeo.clifford import QI, Multivector, Signature, blade_mul, format_mv, parse_mv
@@ -223,3 +224,14 @@ def test_qi_compares_with_floats_exactly():
     assert QI(Fraction(1, 3), 1) != complex(1 / 3, 1)
     assert QI(1) != float("nan")
     assert hash(QI(-1)) == hash(-1) == hash(complex(-1))
+
+
+def test_qi_with_sympy_numbers_stays_exact():
+    # sympy's reflected methods take over through QI._sympy_, so no float appears
+    half, two, i = sympy.Rational(1, 2), sympy.Integer(2), sympy.I
+    for got, want in ((QI(1) + half, sympy.Rational(3, 2)), (half + QI(1), sympy.Rational(3, 2)),
+                      (QI(1, 1) * two, 2 + 2 * i), (QI(1) - half, half), (QI(1) / two, half),
+                      (two / QI(0, 1), -2 * i)):
+        assert got == want and isinstance(got, sympy.Basic) and not got.has(sympy.Float)
+    assert isinstance(QI(1) + half, sympy.Rational)
+    assert isinstance(QI(1) + 0.5, complex) and isinstance(QI(1) * 1j, complex)

@@ -27,19 +27,19 @@ from spingeo.spinrep import SpinorSpace, relations_residual
 class TestSpectralModel:
     def test_entry_validation(self):
         with pytest.raises(ValueError):
-            SpectralModel("bad", [(-1.0, 1, 1)], 1)
+            SpectralModel("bad", [(-1.0, 1, 1)])
         with pytest.raises(ValueError):
-            SpectralModel("bad", [(1.0, 0, 1)], 1)
+            SpectralModel("bad", [(1.0, 0, 1)])
         with pytest.raises(ValueError):
-            SpectralModel("bad", [(1.0, 1, 2)], 1)
+            SpectralModel("bad", [(1.0, 1, 2)])
 
     def test_supertrace_needs_positive_time(self):
-        model = SpectralModel("m", [(0.0, 1, 1)], 1)
+        model = SpectralModel("m", [(0.0, 1, 1)])
         with pytest.raises(ValueError):
             model.supertrace(0.0)
 
     def test_kernel_and_symmetry(self):
-        model = SpectralModel("m", [(0.0, 2, 1), (3.0, 1, 1), (3.0, 1, -1)], 1)
+        model = SpectralModel("m", [(0.0, 2, 1), (3.0, 1, 1), (3.0, 1, -1)])
         assert model.kernel_dim() == 2
         assert model.spectral_symmetry_holds()
         assert model.supertrace(1.0) == pytest.approx(2.0)
