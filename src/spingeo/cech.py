@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Nerve:
     """Patch count plus sorted simplex tuples, downward closed."""
@@ -23,8 +27,12 @@ class Nerve:
     simplices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not _is_int(self.patches) or self.patches < 0:
+            raise ValueError(f"patches must be an integer >= 0, not {self.patches!r}")
         seen = set()
         for s in self.simplices:
+            if not all(_is_int(v) for v in s):
+                raise ValueError(f"simplex {s} must have integer vertices")
             if not s:
                 raise ValueError("the empty simplex () is not a simplex of a nerve")
             if tuple(sorted(s)) != s or len(set(s)) != len(s):
@@ -66,7 +74,7 @@ class Cochain:
             s = tuple(sorted(s))
             if s not in index:
                 raise ValueError(f"{s} is not a {k}-simplex of the nerve")
-            if isinstance(v, bool) or not isinstance(v, int) or v not in (1, -1):
+            if not _is_int(v) or v not in (1, -1):
                 raise ValueError(f"values must be +1 or -1 as ints, got {v!r} at {s}")
             bit = 1 << index[s]
             self.vector = self.vector | bit if v == -1 else self.vector & ~bit
@@ -129,30 +137,29 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
 
 
 # -- GF(2) elimination on row bitmasks -----------------------------------------
-# A reduced basis maps each pivot bit to its row: the pivot is the row's lowest
-# set bit and is clear in every other row (reduced row echelon form), so
-# reduction modulo the basis gives unique normal forms.
+# An echelon basis maps each pivot bit to its row, the row's lowest set bit;
+# rows are not reduced against each other.  A row touches no bit below its
+# pivot, so clearing v's pivot bits from the lowest upward, rescanning after
+# each XOR, leaves the unique element of v + span with no pivot bit set: a
+# normal form without full reduction.
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
-    """Normal form of v modulo the span of a reduced basis: v XOR the rows of its pivots."""
-    bits = v
+    """Normal form of v modulo the span of an echelon basis: no pivot bit left set."""
+    bits = v  # v's bits not yet scanned
     while bits:
         low = bits & -bits
-        bits ^= low
-        v ^= basis.get(low, 0)
+        row = basis.get(low, 0)
+        v ^= row
+        bits ^= row or low
     return v
 
 
 def _insert(basis: dict[int, int], row: int) -> bool:
-    """Add row to the reduced basis in place; False when it was already in the span."""
+    """Add row's normal form to the echelon basis in place; False when row was in the span."""
     row = _reduce(row, basis)
     if not row:
         return False
-    pivot = row & -row
-    for p, other in basis.items():
-        if other & pivot:
-            basis[p] = other ^ row
-    basis[pivot] = row
+    basis[row & -row] = row
     return True
 
 
@@ -163,6 +170,14 @@ def _echelon(rows) -> dict[int, int]:
     return basis
 
 
+def _back_substitute(basis: dict[int, int], x: int) -> int:
+    """x plus each pivot, highest first, whose row has odd parity against x: every row ends even."""
+    for pivot in sorted(basis, reverse=True):
+        if (basis[pivot] & x).bit_count() & 1:
+            x |= pivot
+    return x
+
+
 def gf2_rank(rows: list[int]) -> int:
     return len(_echelon(rows))
 
@@ -171,34 +186,22 @@ def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
     """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None.
 
     Row r carries rhs bit r as a flag above the columns: no solution exactly
-    when the flag alone becomes a pivot."""
+    when the flag alone becomes a pivot, else back substitution from the flag."""
     if any(row >> ncols for row in rows):
         raise ValueError(f"a row has bits outside the {ncols} columns")
     flag = 1 << ncols
     basis = _echelon(row | (flag if rhs >> r & 1 else 0) for r, row in enumerate(rows))
     if flag in basis:
         return None
-    return sum(pivot for pivot, row in basis.items() if row & flag)
+    return _back_substitute(basis, flag) ^ flag
 
 
 def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of ker(rows) over GF(2): one vector per free column.
-
-    The vector of free column f is f plus every pivot whose row contains f;
-    a reduced row holds no other pivot, so its bits besides its own pivot are
-    exactly the free columns it adds its pivot to, and one pass over the rows
-    builds every vector."""
+    """Basis of ker(rows) over GF(2): back substitution from each free column."""
     if any(row >> ncols for row in rows):
         raise ValueError(f"a row has bits outside the {ncols} columns")
     basis = _echelon(rows)
-    kernel = {1 << c: 1 << c for c in range(ncols) if 1 << c not in basis}
-    for pivot, row in basis.items():
-        free = row ^ pivot
-        while free:
-            low = free & -free
-            free ^= low
-            kernel[low] |= pivot
-    return list(kernel.values())
+    return [_back_substitute(basis, 1 << c) for c in range(ncols) if 1 << c not in basis]
 
 
 def cohomology_dim(nerve: Nerve, k: int) -> int:
@@ -261,37 +264,36 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     """Second Stiefel-Whitney data and the spin-structure enumeration.
 
     If ε is trivial in H², the spin structures are the corrections c with
-    δ(c) = ε modulo coboundaries, a torsor under H¹: one particular solution
-    times each element of H¹, whose basis is the cocycles of ker δ₁ that
-    enlarge the span of im δ₀, certified by :func:`_verify_torsor`.
+    δ(c) = ε modulo coboundaries, a torsor under H¹.  Each class has exactly
+    one representative vanishing on a spanning forest (edges with independent
+    δ₀ rows): one solution of the pinned system plus each element of the span
+    of its b₁ kernel vectors, certified by :func:`_verify_torsor`.
     """
     nerve = lifts.nerve
     epsilon = w2_cocycle(lifts)
     if not coboundary(epsilon).is_trivial():
         raise ValueError("ε failed the 2-cocycle check")
-    delta1 = coboundary_matrix(nerve, 1)
     edges = nerve.simplices_of_dim(1)
-    particular = gf2_solve(delta1, epsilon.vector, len(edges))
+    forest: dict[int, int] = {}
+    pins = [1 << i for i, row in enumerate(coboundary_matrix(nerve, 0)) if _insert(forest, row)]
+    rows = pins + coboundary_matrix(nerve, 1)  # c = 0 on each forest edge, then δ₁c = ε
+    particular = gf2_solve(rows, epsilon.vector << len(pins), len(edges))
     if particular is None:
         return SpinStructureReport(epsilon, False, 0)
-    stars = [0] * nerve.patches  # δ₀ of each vertex: the edges at it span im δ₀
+    vectors = [particular]
+    for z in gf2_nullspace(rows, len(edges)):
+        vectors += [v ^ z for v in vectors]
+    structures = [Cochain.from_vector(nerve, 1, v) for v in vectors]
+    stars = [0] * nerve.patches  # the certificate's im δ₀: δ₀ of a vertex is its edges
     for i, (a, b) in enumerate(edges):
         stars[a] |= 1 << i
         stars[b] |= 1 << i
-    image = _echelon(stars)
-    cocycles = dict(image)
-    h1 = [0]  # every element of H¹, spanned by the kernel vectors that enlarge im δ₀
-    for z in gf2_nullspace(delta1, len(edges)):
-        if _insert(cocycles, z):
-            h1 += [h ^ z for h in h1]
-    vectors = [particular ^ h for h in h1]
-    structures = [Cochain.from_vector(nerve, 1, v) for v in vectors]
-    torsor = _verify_torsor(epsilon, vectors, image)
+    torsor = _verify_torsor(epsilon, vectors, _echelon(stars))
     return SpinStructureReport(epsilon, True, len(structures), structures, torsor)
 
 
 def _verify_torsor(epsilon: Cochain, vectors: list[int], image: dict[int, int]) -> bool:
-    """The classes of solutions of δc = ε modulo im δ₀ (reduced basis ``image``) form an
+    """The classes of solutions of δc = ε modulo im δ₀ (echelon basis ``image``) form an
     H¹-torsor, so vectors that solve it, are distinct modulo im δ₀ and number 2^b₁ (b₁ from
     its own rank count) are one representative of every class."""
     delta1 = coboundary_matrix(epsilon.nerve, 1)
@@ -335,8 +337,5 @@ BUILTIN_NERVES = {
 
 
 def nerve_from_dict(data: dict) -> Nerve:
-    """Load a nerve from {patches, simplices} JSON data; the patch count must be an integer."""
-    patches = data["patches"]
-    if isinstance(patches, bool) or not isinstance(patches, int):
-        raise ValueError(f"patches must be an integer, not {patches!r}")
-    return make_nerve(patches, [tuple(s) for s in data["simplices"]])
+    """Load a nerve from {patches, simplices} JSON data; :class:`Nerve` checks the integers."""
+    return make_nerve(data["patches"], [tuple(s) for s in data["simplices"]])

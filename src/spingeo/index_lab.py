@@ -127,6 +127,8 @@ def sphere2_hodge_model(l_max: int) -> SpectralModel:
 
 def torus2_hodge_model(cutoff: int) -> SpectralModel:
     """Hodge Laplacian on flat T²: each Fourier mode carries Λ⁰+Λ² vs Λ¹."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     entries = []
     for n in range(-cutoff, cutoff + 1):
         for m in range(-cutoff, cutoff + 1):

@@ -137,6 +137,10 @@ class TestCech:
             ("--lifts", [[[0, 1], 1.0]], "values must be +1 or -1 as ints"),
             ("--nerve", {"patches": 3.7, "simplices": [[0, 1]]}, "patches must be an integer"),
             ("--nerve", {"patches": "3", "simplices": [[0, 1]]}, "patches must be an integer"),
+            ("--nerve", {"patches": 3, "simplices": [[0, 1.5]]}, "must have integer vertices"),
+            ("--nerve", {"patches": 3, "simplices": [[0, 1.0], [1, 2]]}, "must have integer vertices"),
+            ("--nerve", {"patches": 3, "simplices": [[0, True], [1, 2]]}, "must have integer vertices"),
+            ("--nerve", {"patches": -1, "simplices": []}, "patches must be an integer >= 0"),
         ],
     )
     def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):
@@ -219,6 +223,7 @@ class TestUsageErrors:
             (["spinrep", "4", "--trials", "0"], "trials must be at least 1"),
             (["genus", "--radius", "1/"], "radius must be a positive rational"),
             (["genus", "--radius", "1/0"], "radius must be a positive rational"),
+            (["index", "--model", "torus2", "--lmax", "-3"], "cutoff must be nonnegative"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

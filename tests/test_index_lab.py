@@ -115,6 +115,9 @@ class TestHodgeSupertraces:
     def test_lmax_precondition(self):
         with pytest.raises(ValueError):
             sphere2_hodge_model(0)
+        with pytest.raises(ValueError):
+            torus2_hodge_model(-1)
+        assert sorted(torus2_hodge_model(0).entries) == [(0.0, 2, -1), (0.0, 2, +1)]  # zero mode
 
 
 class TestMcKeanSinger:
