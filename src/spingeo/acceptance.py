@@ -292,20 +292,17 @@ def criterion_index_lab() -> CheckResult:
         if res["index"] != 0 or res["kernel_dim"] != want_kernel:
             return CheckResult("index lab", False, f"dlambda sweep fails at λ={lam}")
     # (b) sphere2 supertrace within tail bound
-    for t in (0.1, 0.5, 1.0, 2.0):
-        tau = index_lab.sphere2_tail_bound(t, 40)
-        val = index_lab.hodge_supertrace("sphere2", t, 40)
-        if abs(val - 2.0) > max(tau, 1e-12):
-            return CheckResult("index lab", False, f"sphere2 supertrace {val} at t={t}")
-    ms = index_lab.mckean_singer_check(index_lab.sphere2_hodge_model(40), [0.1, 0.5, 1.0, 2.0])
-    if ms["inferred_index"] != 2:
-        return CheckResult("index lab", False, "sphere2 inferred index != 2")
+    ts = (0.1, 0.5, 1.0, 2.0)
+    ms = index_lab.mckean_singer_check(
+        index_lab.sphere2_hodge_model(40), ts, 2, lambda t: index_lab.sphere2_tail_bound(t, 40)
+    )
+    if not ms["passed"]:
+        return CheckResult("index lab", False, f"sphere2 supertraces {ms['values']} at t={ts}, want 2")
     # (c) torus Dirac supertrace
     for delta in ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5)):
         model = index_lab.torus_dirac_model(delta, 12)
-        for t in (0.2, 1.0, 5.0):
-            if abs(model.supertrace(t)) > 1e-12:
-                return CheckResult("index lab", False, f"torus Dirac str != 0 at δ={delta}")
+        if not index_lab.mckean_singer_check(model, (0.2, 1.0, 5.0), 0)["passed"]:
+            return CheckResult("index lab", False, f"torus Dirac str != 0 at δ={delta}")
         want_kernel = 2 if delta == (0, 0) else 0
         if model.kernel_dim() != want_kernel:
             return CheckResult("index lab", False, f"torus Dirac kernel at δ={delta}")
@@ -355,9 +352,8 @@ def criterion_substitution_suites(seed: int = 0) -> CheckResult:
     for model in models:
         if not model.spectral_symmetry_holds():
             return CheckResult("substitution suites", False, f"spectral symmetry fails in {model.name}")
-        values = [model.supertrace(t) for t in (0.2, 0.7, 1.3, 3.0)]
-        if max(values) - min(values) > 1e-10:
-            return CheckResult("substitution suites", False, f"heat trace t-dependent in {model.name}")
+        if not index_lab.mckean_singer_check(model, (0.2, 0.7, 1.3, 3.0))["passed"]:
+            return CheckResult("substitution suites", False, f"heat trace not one integer for all t in {model.name}")
     return CheckResult("substitution suites", True, "D² identity, ellipticity, t-independence")
 
 

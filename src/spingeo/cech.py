@@ -12,6 +12,7 @@ enumeration of spin structures, certified as the torsor under H¹.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 
@@ -46,11 +47,17 @@ class Nerve:
                     if len(face) > 1 and face not in seen:
                         raise ValueError(f"nerve not downward closed at {s}: missing {face}")
 
+    @cached_property
+    def _by_dim(self) -> dict[int, list[tuple[int, ...]]]:
+        """The sorted k-simplices for each k, grouped once; the vertices are the patches."""
+        groups = {0: [(i,) for i in range(self.patches)]}
+        for s in sorted(s for s in self.simplices if len(s) > 1):
+            groups.setdefault(len(s) - 1, []).append(s)
+        return groups
+
     def simplices_of_dim(self, k: int) -> list[tuple[int, ...]]:
         """All k-simplices ((k+1)-fold intersections), vertices included for k=0."""
-        if k == 0:
-            return [(i,) for i in range(self.patches)]
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        return list(self._by_dim.get(k, ()))
 
 
 def make_nerve(patches: int, simplices) -> Nerve:
@@ -69,7 +76,7 @@ class Cochain:
 
     def __init__(self, nerve: Nerve, k: int, values: dict[tuple[int, ...], int] | None = None):
         self.nerve, self.k, self.vector = nerve, k, 0
-        index = {s: i for i, s in enumerate(nerve.simplices_of_dim(k))} if values else {}
+        index = {s: i for i, s in enumerate(nerve._by_dim.get(k, ()))} if values else {}
         for s, v in (values or {}).items():
             s = tuple(sorted(s))
             if s not in index:
@@ -105,7 +112,7 @@ class Cochain:
 
     @classmethod
     def from_vector(cls, nerve: Nerve, k: int, vec: int) -> "Cochain":
-        size = len(nerve.simplices_of_dim(k))
+        size = len(nerve._by_dim.get(k, ()))
         if vec < 0 or vec >> size:
             raise ValueError(f"vector {vec:#x} has bits outside the {size} {k}-simplices")
         cochain = cls(nerve, k)
@@ -126,9 +133,9 @@ def coboundary(sigma: Cochain) -> Cochain:
 
 def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
     """GF(2) matrix of δ_k: one row bitmask over the k-simplices per (k+1)-simplex."""
-    col_index = {s: i for i, s in enumerate(nerve.simplices_of_dim(k))}
+    col_index = {s: i for i, s in enumerate(nerve._by_dim.get(k, ()))}
     rows = []
-    for s in nerve.simplices_of_dim(k + 1):
+    for s in nerve._by_dim.get(k + 1, ()):
         row = 0
         for j in range(len(s)):
             row ^= 1 << col_index[s[:j] + s[j + 1 :]]

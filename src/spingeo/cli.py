@@ -103,10 +103,9 @@ def _load_model(args):
     if args.model_file:
         with open(args.model_file) as fh:
             return chern_weil.model_from_dict(json.load(fh))
-    if args.model.startswith("product"):
-        a = chern_weil.curvature_model("sphere2", args.radius)
-        b = chern_weil.curvature_model("sphere2", args.radius)
-        return chern_weil.product_model(a, b)
+    if args.model == "product":
+        sphere = chern_weil.curvature_model("sphere2", args.radius)
+        return chern_weil.product_model(sphere, sphere)
     return chern_weil.curvature_model(args.model, args.radius)
 
 
@@ -193,41 +192,39 @@ def _cmd_index(args) -> int:
         ts = _parse_floats(args.t)
         payload: dict = {"command": "index", "model": args.model, "t": ts}
         lines = []
-        ok = True
         if args.model == "dlambda":
             res = index_lab.dlambda_index(args.lam, args.cutoff)
-            payload.update(res)
+            payload.update(res, cutoff=args.cutoff)
             payload["lambda"] = args.lam
-            payload["cutoff"] = args.cutoff
             lines.append(
                 f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {res['kernel_dim']},"
                 f" cokernel {res['cokernel_dim']}, index {res['index']}"
             )
             ok = res["index"] == 0
         elif args.model in ("sphere2", "torus2"):
+            if args.model == "sphere2":
+                model, index = index_lab.sphere2_hodge_model(args.lmax), 2
+                tail = lambda t: index_lab.sphere2_tail_bound(t, args.lmax)
+            else:
+                model, index = index_lab.torus2_hodge_model(args.lmax), 0
+                tail = lambda t: index_lab.SUPERTRACE_TOL
+            check = index_lab.mckean_singer_check(model, ts, index, tail)
             rows = []
-            for t in ts:
-                val = index_lab.hodge_supertrace(args.model, t, args.lmax)
-                tau = index_lab.sphere2_tail_bound(t, args.lmax) if args.model == "sphere2" else 1e-12
-                rows.append({"t": t, "supertrace": val, "tail_bound": tau})
-                lines.append(f"{args.model} t={t} lmax={args.lmax}: str = {val!r} (tail ≤ {tau:.2e})")
-            payload["lmax"] = args.lmax
-            payload["rows"] = rows
-            target = 2.0 if args.model == "sphere2" else 0.0
-            ok = all(abs(r["supertrace"] - target) <= max(r["tail_bound"], 1e-12) for r in rows)
-            payload["inferred_index"] = int(target)
+            for t, val in zip(ts, check["values"]):
+                rows.append({"t": t, "supertrace": val, "tail_bound": tail(t)})
+                lines.append(f"{args.model} t={t} lmax={args.lmax}: str = {val!r} (tail ≤ {tail(t):.2e})")
+            payload.update(lmax=args.lmax, rows=rows, inferred_index=check["inferred_index"])
+            ok = check["passed"]
         elif args.model == "torus_dirac":
             delta = tuple(_parse_floats(args.delta))
             model = index_lab.torus_dirac_model(delta, args.cutoff)
-            rows = [{"t": t, "supertrace": model.supertrace(t)} for t in ts]
-            payload["delta"] = list(delta)
-            payload["cutoff"] = args.cutoff
-            payload["rows"] = rows
-            payload["kernel_dim"] = model.kernel_dim()
+            check = index_lab.mckean_singer_check(model, ts, 0)
+            rows = [{"t": t, "supertrace": v} for t, v in zip(ts, check["values"])]
+            payload.update(delta=list(delta), cutoff=args.cutoff, rows=rows, kernel_dim=model.kernel_dim())
             for r in rows:
                 lines.append(f"torus Dirac δ={delta} t={r['t']}: str = {r['supertrace']!r}")
             lines.append(f"kernel dimension: {model.kernel_dim()}")
-            ok = all(abs(r["supertrace"]) <= 1e-12 for r in rows)
+            ok = check["passed"]
         else:
             return _error(f"unknown index model {args.model!r}")
     except ValueError as exc:

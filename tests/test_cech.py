@@ -62,6 +62,17 @@ class TestNerve:
         with pytest.raises(ValueError):
             Nerve(3, ((0, 1, 2),))
 
+    def test_simplices_of_dim_is_sorted_and_a_fresh_copy(self):
+        nerve = Nerve(3, ((1, 2), (0, 1, 2), (0, 2), (0,), (0, 1)))
+        assert nerve.simplices_of_dim(0) == [(0,), (1,), (2,)]
+        assert nerve.simplices_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
+        assert nerve.simplices_of_dim(3) == []
+        nerve.simplices_of_dim(1).clear()
+        assert nerve.simplices_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
+        # the grouping is cached on the nerve but not part of its value
+        twin = Nerve(3, nerve.simplices)
+        assert nerve == twin and hash(nerve) == hash(twin)
+
     def test_rejects_empty_simplex(self):
         with pytest.raises(ValueError, match=r"empty simplex \(\)"):
             make_nerve(2, [()])

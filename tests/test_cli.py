@@ -224,6 +224,15 @@ class TestUsageErrors:
             (["genus", "--radius", "1/"], "radius must be a positive rational"),
             (["genus", "--radius", "1/0"], "radius must be a positive rational"),
             (["index", "--model", "torus2", "--lmax", "-3"], "cutoff must be nonnegative"),
+            (["index", "--model", "sphere2", "--t", ","], "empty t grid"),
+            (["index", "--model", "sphere2", "--t", "nan"], "t must be positive"),
+            (["index", "--model", "torus2", "--t", "0.5,inf"], "t must be positive"),
+            (["index", "--model", "torus_dirac", "--t", "inf"], "t must be positive"),
+            (["index", "--model", "torus_dirac", "--delta", "0.5"], "not (0.5,)"),
+            (["index", "--model", "torus_dirac", "--delta", ","], "not ()"),
+            (["index", "--model", "torus_dirac", "--delta", "0,0,0.5"], "not (0.0, 0.0, 0.5)"),
+            (["index", "--model", "dlambda", "--lambda", "nan"], "λ must be finite"),
+            (["genus", "--model", "product_of_nothing"], "unknown curvature model"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

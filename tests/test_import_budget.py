@@ -51,6 +51,7 @@ def loaded_after(argv):
         (["genus", "--name", "ahat", "--model", "sphere4"], set()),
         (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], set()),
         (["spinrep", "4", "--check", "all"], {"numpy"}),
+        (["selftest"], {"numpy", "sympy"}),
     ],
 )
 def test_heavy_imports_per_subcommand(argv, expected):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spingeo.index_lab import (
+    SUPERTRACE_TOL,
     SpectralModel,
     delta_limit_error,
     dirac_symbol,
     dlambda_index,
     dlambda_model,
-    hodge_supertrace,
     line_heat_kernel,
     mckean_singer_check,
     mehler_kernel,
@@ -35,8 +35,9 @@ class TestSpectralModel:
 
     def test_supertrace_needs_positive_time(self):
         model = SpectralModel("m", [(0.0, 1, 1)])
-        with pytest.raises(ValueError):
-            model.supertrace(0.0)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be positive"):
+                model.supertrace(t)
 
     def test_kernel_and_symmetry(self):
         model = SpectralModel("m", [(0.0, 2, 1), (3.0, 1, 1), (3.0, 1, -1)])
@@ -61,6 +62,11 @@ class TestDLambda:
     def test_cutoff_precondition(self):
         with pytest.raises(ValueError):
             dlambda_index(5, cutoff=5)
+
+    def test_nonfinite_lambda_rejected(self):
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="λ must be finite"):
+                dlambda_index(lam, cutoff=10)
 
     def test_model_supertrace_is_zero(self):
         # n -> -n matches the two sides, so the spectra agree for any λ
@@ -91,26 +97,25 @@ class TestTorusDirac:
             torus_dirac_model((0.3, 0), cutoff=3)
         with pytest.raises(ValueError):
             torus_dirac_model((0, 0), cutoff=0)
+        for delta in ((), (0.5,), (0, 0, 0.5)):
+            with pytest.raises(ValueError, match="must be 2 values"):
+                torus_dirac_model(delta, cutoff=3)
 
 
 class TestHodgeSupertraces:
     def test_sphere_value_is_euler_characteristic(self):
         for t in (0.1, 0.5, 2.0):
-            assert hodge_supertrace("sphere2", t, l_max=40) == pytest.approx(2.0, abs=1e-12)
+            assert sphere2_hodge_model(40).supertrace(t) == pytest.approx(2.0, abs=1e-12)
 
     def test_torus_value_is_zero(self):
         for t in (0.1, 0.5, 2.0):
-            assert hodge_supertrace("torus2", t, l_max=20) == pytest.approx(0.0, abs=1e-12)
+            assert torus2_hodge_model(20).supertrace(t) == pytest.approx(0.0, abs=1e-12)
 
     def test_tail_bound_controls_truncation(self):
         t = 0.1
         coarse = sphere2_hodge_model(12).supertrace(t)
         fine = sphere2_hodge_model(60).supertrace(t)
         assert abs(coarse - fine) <= sphere2_tail_bound(t, 12)
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            hodge_supertrace("klein", 0.5, l_max=5)
 
     def test_lmax_precondition(self):
         with pytest.raises(ValueError):
@@ -133,10 +138,36 @@ class TestMcKeanSinger:
             got = mckean_singer_check(model, grid)
             assert got["inferred_index"] == index
             assert got["max_deviation_from_integer"] <= 1e-10
+            assert got["passed"] and mckean_singer_check(model, grid, index)["passed"]
+            assert not mckean_singer_check(model, grid, index + 1)["passed"]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mckean_singer_check(sphere2_hodge_model(5), [])
+
+    # str = 1 + e^{-t}: index 1 with a tail of e^{-t}, bounded with 1 % room for rounding
+    DECAYING = SpectralModel("decaying", [(0.0, 1, +1), (1.0, 1, +1)])
+
+    def tail(self, t):
+        return 1.01 * math.exp(-t)
+
+    def test_verdict_uses_the_tail_bound(self):
+        grid = [0.1, 5.0]
+        assert mckean_singer_check(self.DECAYING, grid, 1, self.tail)["passed"]
+        assert not mckean_singer_check(self.DECAYING, grid, 1)["passed"]
+
+    def test_verdict_compares_with_the_expected_index(self):
+        # the values round to 2 at t = 0.1 and to 1 at t = 5
+        got = mckean_singer_check(self.DECAYING, [0.1, 5.0], 1, self.tail)
+        assert got["inferred_index"] == 2 and got["passed"]
+        got = mckean_singer_check(self.DECAYING, [5.0, 0.1], 2, self.tail)
+        assert got["inferred_index"] == 1 and not got["passed"]
+
+    def test_floor_is_the_named_tolerance(self):
+        near = SpectralModel("near", [(0.0, 1, +1), (40.0, 1, +1)])
+        t = -math.log(SUPERTRACE_TOL / 2) / 40  # str = 1 + SUPERTRACE_TOL / 2
+        assert mckean_singer_check(near, [t], 1)["passed"]
+        assert not mckean_singer_check(near, [t / 2], 1)["passed"]
 
 
 class TestHeatKernels:
