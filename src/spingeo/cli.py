@@ -189,7 +189,7 @@ def _cmd_index(args) -> int:
     from . import index_lab
 
     try:
-        ts = _parse_floats(args.t)
+        ts = index_lab._check_t_grid(_parse_floats(args.t))
         payload: dict = {"command": "index", "model": args.model, "t": ts}
         lines = []
         if args.model == "dlambda":

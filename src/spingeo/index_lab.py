@@ -18,6 +18,7 @@ one validated by the eigenfunction oracle, see
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -25,6 +26,21 @@ from dataclasses import dataclass
 
 #: Floor of every supertrace comparison: the rounding error of a closed-form float sum.
 SUPERTRACE_TOL = 1e-12
+
+
+def _check_time(t: float, name: str = "t") -> None:
+    if not 0 < t < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {t!r}")
+
+
+def _check_t_grid(t_grid) -> list[float]:
+    """The grid as a list, once every time in it is checked: none may be missing, nan, infinite or ≤ 0."""
+    t_grid = list(t_grid)
+    if not t_grid:
+        raise ValueError("empty t grid")
+    for t in t_grid:
+        _check_time(t)
+    return t_grid
 
 
 @dataclass
@@ -42,8 +58,7 @@ class SpectralModel:
 
     def supertrace(self, t: float) -> float:
         """str e^{-tD²}, summed smallest eigenvalue first for reproducibility."""
-        if not 0 < t < math.inf:
-            raise ValueError(f"t must be positive and finite, not {t!r}")
+        _check_time(t)
         total = 0.0
         for lam, mult, chi in self.entries:
             total += chi * mult * math.exp(-t * lam)
@@ -91,25 +106,35 @@ def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
     return SpectralModel("dlambda", entries)
 
 
+def _norm_counts(delta, cutoff: int) -> Counter:
+    """{|k|²: how many k = (n + δ₁, m + δ₂) with |n|, |m| ≤ cutoff have it}."""
+    first, second = (Counter((j + d) ** 2 for j in range(-cutoff, cutoff + 1)) for d in delta)
+    counts = Counter()
+    for a, ca in first.items():
+        for b, cb in second.items():
+            counts[a + b] += ca * cb
+    return counts
+
+
 def torus_dirac_model(delta: tuple[float, float], cutoff: int) -> SpectralModel:
     """Flat T² spin Dirac operator for the spin structure δ ∈ {0, 1/2}².
 
     Modes are k = (n + δ₁, m + δ₂) with D² eigenvalue 4π²|k|²; every mode
     carries one + and one - chirality state (the kernel, present only for
     δ = (0, 0), consists of one harmonic spinor of each chirality), so the
-    graded supertrace vanishes identically.
+    graded supertrace vanishes identically.  The modes are counted per |k|²:
+    one row per distinct eigenvalue and chirality, with the count as its
+    multiplicity, so each - row cancels its + row and str is exactly 0.0.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     if len(delta) != 2 or not all(d in (0, 0.5) for d in delta):
         raise ValueError(f"spin structure offsets must be 2 values, each 0 or 1/2, not {delta}")
     entries = []
-    for n in range(-cutoff, cutoff + 1):
-        for m in range(-cutoff, cutoff + 1):
-            k2 = (n + delta[0]) ** 2 + (m + delta[1]) ** 2
-            lam = 4 * math.pi**2 * k2
-            entries.append((lam, 1, +1))
-            entries.append((lam, 1, -1))
+    for k2, count in _norm_counts(delta, cutoff).items():
+        lam = 4 * math.pi**2 * k2
+        entries.append((lam, count, +1))
+        entries.append((lam, count, -1))
     return SpectralModel("torus_dirac", entries)
 
 
@@ -132,15 +157,18 @@ def sphere2_hodge_model(l_max: int) -> SpectralModel:
 
 
 def torus2_hodge_model(cutoff: int) -> SpectralModel:
-    """Hodge Laplacian on flat T²: each Fourier mode carries Λ⁰+Λ² vs Λ¹."""
+    """Hodge Laplacian on flat T²: each Fourier mode carries Λ⁰+Λ² vs Λ¹.
+
+    As in :func:`torus_dirac_model`, one row per distinct eigenvalue and
+    chirality, with multiplicity twice the number of modes.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     entries = []
-    for n in range(-cutoff, cutoff + 1):
-        for m in range(-cutoff, cutoff + 1):
-            lam = 4 * math.pi**2 * (n * n + m * m)
-            entries.append((lam, 2, +1))
-            entries.append((lam, 2, -1))
+    for k2, count in _norm_counts((0, 0), cutoff).items():
+        lam = 4 * math.pi**2 * k2
+        entries.append((lam, 2 * count, +1))
+        entries.append((lam, 2 * count, -1))
     return SpectralModel("torus2_hodge", entries)
 
 
@@ -160,9 +188,7 @@ def mckean_singer_check(model: SpectralModel, t_grid, index: int | None = None, 
     lie within max(tail_bound(t), SUPERTRACE_TOL) of ``index``, which defaults
     to the integer nearest the first value (reported as ``inferred_index``).
     """
-    t_grid = list(t_grid)
-    if not t_grid:
-        raise ValueError("empty t grid")
+    t_grid = _check_t_grid(t_grid)
     values = [model.supertrace(t) for t in t_grid]
     inferred = round(values[0])
     index = inferred if index is None else index
@@ -175,8 +201,7 @@ def mckean_singer_check(model: SpectralModel, t_grid, index: int | None = None, 
 
 def line_heat_kernel(t: float, x: float, y: float) -> float:
     """(4πt)^{-1/2} exp(-(x-y)²/4t), the heat kernel on the real line."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     return math.exp(-((x - y) ** 2) / (4 * t)) / math.sqrt(4 * math.pi * t)
 
 
@@ -190,8 +215,7 @@ def mehler_kernel(t: float, x: float, y: float, a: float) -> float:
     convention is fixed by the Hermite eigenfunction oracle
     :func:`oscillator_eigen_expansion` (eigenvalues a(2k+1)).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     if a == 0:
         return line_heat_kernel(t, x, y)
     w = 2 * a * t
@@ -208,8 +232,9 @@ def oscillator_eigen_expansion(t: float, x: float, y: float, a: float, terms: in
     -ψ'' + a²x²ψ = a(2k+1)ψ; this series is the independent oracle for
     :func:`mehler_kernel`.
     """
-    if t <= 0 or a <= 0:
-        raise ValueError("t and a must be positive")
+    _check_time(t)
+    if not a > 0:
+        raise ValueError("a must be positive")
     # ψ_{k+1}(x) = √(2/(k+1)) √a x ψ_k(x) - √(k/(k+1)) ψ_{k-1}(x), from H_{k+1} = 2u H_k - 2k H_{k-1}
     norm = (a / math.pi) ** 0.25
     px, py = norm * math.exp(-a * x * x / 2), norm * math.exp(-a * y * y / 2)
@@ -244,8 +269,8 @@ def semigroup_residual(kernel, t1: float, t2: float, xs) -> float:
     """
     import numpy as np
 
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("times must be positive")
+    _check_time(t1, "t1")
+    _check_time(t2, "t2")
     z, w = _composite_gauss_legendre(max(8.0 * math.sqrt(t1 + t2), 8.0), 16)
     residual = 0.0
     for x in xs:

@@ -117,32 +117,17 @@ def lie_iso_inv(a: np.ndarray, sig: Signature) -> Multivector:
 
 # -- exterior-algebra machinery ----------------------------------------------
 
-def _wedge_matrix(n: int, i: int) -> np.ndarray:
-    """Matrix of e^i ∧ · on Λ(R^n) in the subset basis (bitmask order)."""
-    dim = 1 << n
-    out = np.zeros((dim, dim))
-    bit = 1 << (i - 1)
-    for s in range(dim):
-        if s & bit:
-            continue
-        below = (s & (bit - 1)).bit_count()
-        out[s | bit, s] = (-1.0) ** below
-    return out
-
-
-def _contract_matrix(n: int, i: int) -> np.ndarray:
-    """Matrix of the contraction ι_{e_i} on Λ(R^n), the adjoint of e^i ∧ ·: in the
-    orthonormal subset basis, its transpose."""
-    return _wedge_matrix(n, i).T
-
-
 class ExteriorModule:
     """The Clifford module Λ(R^n) ⊗ C with both multiplications.
 
     ``c(e^i) = e^i ∧ - ι_i`` generates a Cl(n, 0) action ({c, c} = -2δ),
     while ``c̃(e^i) = e^i ∧ + ι_i`` generates the opposite-sign action
-    ({c̃, c̃} = +2δ); the two anticommute.  All matrices are 2^n-dimensional
-    and immutable after construction.
+    ({c̃, c̃} = +2δ); the two anticommute.  In the subset basis e_s (s a
+    bitmask, b_i = 2^{i-1}) both are signed permutations:
+    c̃(e^i) e_s = σ_i(s) e_{s ⊕ b_i} with σ_i(s) = (-1)^{|s ∩ (b_i - 1)|}, and
+    c(e^i) carries the extra sign -1 where b_i ∈ s.  The module keeps one ±1
+    vector per generator and composes words on index arrays; the methods
+    build the dense 2^n-dimensional matrices on request.
     """
 
     def __init__(self, n: int):
@@ -150,31 +135,53 @@ class ExteriorModule:
             raise ValueError("n must be positive")
         self.n = n
         self.dim = 1 << n
-        wedges = [_wedge_matrix(n, i) for i in range(1, n + 1)]
-        contracts = [_contract_matrix(n, i) for i in range(1, n + 1)]
-        self._c = [w - k for w, k in zip(wedges, contracts)]
-        self._ct = [w + k for w, k in zip(wedges, contracts)]
-        degs = np.array([s.bit_count() for s in range(self.dim)])
-        self.gamma = np.diag((-1.0) ** degs).astype(complex)
+        self._index = np.arange(self.dim)
+        self._grading = np.array([-1.0 if s.bit_count() % 2 else 1.0 for s in range(self.dim)])
+        self._ct_signs, self._c_signs = [], []
+        for i in range(n):
+            bit = 1 << i
+            sigma = self._grading[self._index & (bit - 1)]
+            self._ct_signs.append(sigma)
+            self._c_signs.append(np.where(self._index & bit, -sigma, sigma))
+
+    def _word(self, signs, indices) -> tuple[np.ndarray, int]:
+        """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, M_i the generator with sign vector signs[i-1]."""
+        w, mask = np.ones(self.dim), 0
+        for i in indices:
+            bit = 1 << (i - 1)
+            w = signs[i - 1] * w[self._index ^ bit]
+            mask ^= bit
+        return w, mask
+
+    def _dense(self, w: np.ndarray, mask: int) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self._index ^ mask, self._index] = w
+        return out
+
+    def _volume_pairing(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g, π) with 2^{-n/2} γ c(ω_C) e_s = g[s] e_{π[s]}, so str^{E/S} F = Σ_s g[s] F[s, π[s]]."""
+        w, mask = self._word(self._c_signs, range(1, self.n + 1))
+        phase = RELATIVE_SUPERTRACE_NORMALIZATION(self.n) * (1j) ** ((self.n + 1) // 2)
+        perm = self._index ^ mask
+        return phase * w * self._grading[perm], perm
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The grading (-1)^{|s|} as a diagonal matrix."""
+        return np.diag(self._grading).astype(complex)
 
     def c(self, i: int) -> np.ndarray:
-        return self._c[i - 1].astype(complex)
+        return self._dense(self._c_signs[i - 1], 1 << (i - 1))
 
     def c_tilde(self, i: int) -> np.ndarray:
-        return self._ct[i - 1].astype(complex)
-
-    def _word(self, mats, indices) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for i in indices:
-            out = out @ mats[i - 1]
-        return out
+        return self._dense(self._ct_signs[i - 1], 1 << (i - 1))
 
     def c_word(self, indices) -> np.ndarray:
         """c(e^{i_1}) ... c(e^{i_k})."""
-        return self._word(self._c, indices).astype(complex)
+        return self._dense(*self._word(self._c_signs, indices))
 
     def c_tilde_word(self, indices) -> np.ndarray:
-        return self._word(self._ct, indices).astype(complex)
+        return self._dense(*self._word(self._ct_signs, indices))
 
     def c_omega(self) -> np.ndarray:
         """c of the complex volume element i^{⌊(n+1)/2⌋} e^1 ... e^n."""
@@ -189,13 +196,13 @@ def relative_supertrace(F: np.ndarray, module: ExteriorModule) -> complex:
 
     Since γ ∘ c(ω_C) = c̃(ω_C) this equals 2^{-n/2} tr(c̃(ω_C) F); the
     supertrace of c̃(e^I) vanishes for \\|I\\| < n and is (-2i)^{n/2} on the
-    top monomial.
+    top monomial.  γ c(ω_C) is a signed permutation, so only the 2^n entries
+    F[s, π(s)] it pairs with are read.
     """
-    n = module.n
-    if n % 2:
+    if module.n % 2:
         raise ValueError("relative supertrace needs even n")
-    norm = RELATIVE_SUPERTRACE_NORMALIZATION(n)
-    return norm * complex(np.trace(module.gamma @ module.c_omega() @ F))
+    g, perm = module._volume_pairing()
+    return complex(g @ F[module._index, perm])
 
 
 # -- Berezin / Pfaffian -------------------------------------------------------
@@ -234,10 +241,12 @@ def ahat_matrix_det_sqrt(B: np.ndarray) -> float:
 def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
     """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A).
 
-    The left side is a dense matrix exponential on the 2^n-dimensional
-    exterior module: every c̃(e^i) is real symmetric, so the quadratic is real
-    antisymmetric and i·quad is Hermitian, and exp(quad) = V e^{-iw} Vᴴ from
-    the eigendecomposition i·quad = V diag(w) Vᴴ.  The right side uses the
+    The left side is a matrix exponential on the 2^n-dimensional exterior
+    module: each ½ A_ij c̃(e^i) c̃(e^j) is a signed permutation, scattered into
+    one real antisymmetric quadratic, so i·quad is Hermitian and
+    exp(quad) = V e^{-iw} Vᴴ from the eigendecomposition i·quad = V diag(w) Vᴴ;
+    the supertrace reads only the 2^n entries of exp(quad) that γ c(ω_C)
+    pairs with.  The right side uses the
     Pfaffian and the closed form of :func:`ahat_matrix_det_sqrt`, so it
     equals Π_j (-2i sin λ_j) when A has the rotation blocks λ_j.  Returns
     ``(lhs, rhs)``; raises ``ValueError`` where the right side has a pole.
@@ -249,13 +258,17 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
     if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
     module = ExteriorModule(n)
-    quad = np.zeros((module.dim, module.dim), dtype=complex)
+    quad = np.zeros((module.dim, module.dim))
+    rows = module._index
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if A[i - 1, j - 1] != 0:
-                quad += 0.5 * A[i - 1, j - 1] * (module.c_tilde(i) @ module.c_tilde(j))
+                w, mask = module._word(module._ct_signs, (i, j))
+                quad[rows ^ mask, rows] += 0.5 * A[i - 1, j - 1] * w
     w, V = np.linalg.eigh(1j * quad)
-    lhs = relative_supertrace((V * np.exp(-1j * w)) @ V.conj().T, module)
+    g, perm = module._volume_pairing()
+    # str exp(quad) reads only exp(quad)[s, π(s)] = Σ_k V[s, k] e^{-iw_k} conj(V[π(s), k])
+    lhs = complex(g @ np.sum((V * np.exp(-1j * w)) * V[perm].conj(), axis=1))
     rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(A.T - A)  # -2A, exactly antisymmetric
     return lhs, complex(rhs)
 
@@ -268,8 +281,9 @@ class SpinorSpace:
     The basis pairs (e_{2j-1}, e_{2j}) give isotropic generators
     ε_j = (e_{2j-1} - i e_{2j})/√2 and the action c(v) = √2 (v^{1,0} ∧ -
     ι_{v^{0,1}}) becomes c(e_{2j-1}) = a_j† - a_j, c(e_{2j}) = i(a_j† + a_j)
-    in terms of fermionic creation/annihilation operators on Λ(C^k); the
-    matrix entries are Gaussian integers, hence exact even in floats.
+    in terms of fermionic creation/annihilation operators on Λ(C^k), that is
+    c(e^j) and i c̃(e^j) of the exterior module Λ(C^k); the matrix entries
+    are Gaussian integers, hence exact even in floats.
     """
 
     def __init__(self, n: int):
@@ -278,12 +292,11 @@ class SpinorSpace:
         self.n = n
         self.k = n // 2
         self.dim = 1 << self.k
+        fock = ExteriorModule(self.k)
         gens = []
         for j in range(1, self.k + 1):
-            create = _wedge_matrix(self.k, j).astype(complex)
-            annihilate = _contract_matrix(self.k, j).astype(complex)
-            gens.append(create - annihilate)           # c(e_{2j-1})
-            gens.append(1j * (create + annihilate))    # c(e_{2j})
+            gens.append(fock.c(j))                # a_j† - a_j = c(e_{2j-1})
+            gens.append(1j * fock.c_tilde(j))     # i(a_j† + a_j) = c(e_{2j})
         self.generators = gens
 
     def c(self, i: int) -> np.ndarray:

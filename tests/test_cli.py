@@ -233,6 +233,8 @@ class TestUsageErrors:
             (["index", "--model", "torus_dirac", "--delta", "0,0,0.5"], "not (0.0, 0.0, 0.5)"),
             (["index", "--model", "dlambda", "--lambda", "nan"], "λ must be finite"),
             (["genus", "--model", "product_of_nothing"], "unknown curvature model"),
+            (["index", "--model", "dlambda", "--t", "nan", "--format", "json"], "t must be positive and finite"),
+            (["index", "--model", "dlambda", "--t", ","], "empty t grid"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

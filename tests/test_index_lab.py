@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -102,6 +103,41 @@ class TestTorusDirac:
                 torus_dirac_model(delta, cutoff=3)
 
 
+def per_mode_rows(delta, cutoff, states):
+    """{(λ, χ): multiplicity} from one (λ, states, ±1) pair per Fourier mode, the models' rows before grouping."""
+    rows = Counter()
+    for n in range(-cutoff, cutoff + 1):
+        for m in range(-cutoff, cutoff + 1):
+            lam = 4 * math.pi**2 * ((n + delta[0]) ** 2 + (m + delta[1]) ** 2)
+            rows[lam, +1] += states
+            rows[lam, -1] += states
+    return rows
+
+
+class TestGroupedTorusSpectra:
+    """The torus models emit one row per distinct (λ, χ); the per-mode enumeration is the reference."""
+
+    @pytest.mark.parametrize(
+        "build, delta, states, kernel",
+        [
+            (torus_dirac_model, (0, 0), 1, 2),
+            (torus_dirac_model, (0, 0.5), 1, 0),
+            (torus_dirac_model, (0.5, 0), 1, 0),
+            (torus_dirac_model, (0.5, 0.5), 1, 0),
+            (lambda delta, cutoff: torus2_hodge_model(cutoff), (0, 0), 2, 4),
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [1, 7, 25])
+    def test_rows_match_the_per_mode_enumeration(self, build, delta, states, kernel, cutoff):
+        model = build(delta, cutoff)
+        keys = [(lam, chi) for lam, _, chi in model.entries]
+        assert len(set(keys)) == len(keys)  # each (λ, χ) once
+        assert Counter({(lam, chi): mult for lam, mult, chi in model.entries}) == per_mode_rows(delta, cutoff, states)
+        assert model.kernel_dim() == kernel
+        for t in (0.01, 0.1, 0.5, 2.0):
+            assert model.supertrace(t) == 0.0
+
+
 class TestHodgeSupertraces:
     def test_sphere_value_is_euler_characteristic(self):
         for t in (0.1, 0.5, 2.0):
@@ -177,10 +213,19 @@ class TestHeatKernels:
         assert line_heat_kernel(0.3, 1.0, -0.5) == line_heat_kernel(0.3, -0.5, 1.0)
 
     def test_positive_time_required(self):
-        with pytest.raises(ValueError):
-            line_heat_kernel(0, 0, 0)
-        with pytest.raises(ValueError):
-            mehler_kernel(-1, 0, 0, 1)
+        calls = [
+            lambda t: line_heat_kernel(t, 0, 0),
+            lambda t: mehler_kernel(t, 0, 0, 1.0),
+            lambda t: oscillator_eigen_expansion(t, 0, 0, 1.0),
+            lambda t: semigroup_residual(line_heat_kernel, t, 0.5, (0.0,)),
+            lambda t: semigroup_residual(line_heat_kernel, 0.5, t, (0.0,)),
+        ]
+        for call in calls:
+            for t in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="must be positive and finite"):
+                    call(t)
+        with pytest.raises(ValueError, match="a must be positive"):
+            oscillator_eigen_expansion(0.5, 0, 0, 0.0)
 
     def test_mehler_symmetry(self):
         assert mehler_kernel(0.2, 0.7, -0.3, 1.5) == pytest.approx(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -28,6 +29,67 @@ from spingeo.spinrep import (
     twisted_adjoint,
     twisted_adjoint_matrix,
 )
+
+
+# -- the reference: the exterior module and the Berezin left side by dense products --
+#
+# ExteriorModule keeps each generator as a ±1 vector over the subset basis
+# and composes words on index arrays; berezin_supertrace_exp scatters the
+# quadratic from those vectors.  These build every matrix from the wedge
+# and contraction matrices and multiply them densely, as the module once
+# did, and the tests below compare the two.
+
+def dense_wedge(n: int, i: int) -> np.ndarray:
+    """e^i ∧ · on Λ(R^n) in the subset basis; its transpose is the contraction ι_i."""
+    out = np.zeros((1 << n, 1 << n))
+    bit = 1 << (i - 1)
+    for s in range(1 << n):
+        if not s & bit:
+            out[s | bit, s] = (-1.0) ** (s & (bit - 1)).bit_count()
+    return out
+
+
+def dense_module(n: int):
+    """(c, c̃, γ): the generator matrices c(e^i) = e^i ∧ - ι_i, c̃(e^i) = e^i ∧ + ι_i, and the grading."""
+    wedges = [dense_wedge(n, i) for i in range(1, n + 1)]
+    c = [(w - w.T).astype(complex) for w in wedges]
+    ct = [(w + w.T).astype(complex) for w in wedges]
+    gamma = np.diag([(-1.0) ** s.bit_count() for s in range(1 << n)]).astype(complex)
+    return c, ct, gamma
+
+
+def dense_word(mats, indices, dim: int) -> np.ndarray:
+    out = np.eye(dim, dtype=complex)
+    for i in indices:
+        out = out @ mats[i - 1]
+    return out
+
+
+def dense_berezin_lhs(A: np.ndarray) -> complex:
+    """2^{-n/2} tr(γ c(ω_C) exp(½ Σ A_ij c̃_i c̃_j)) from dense products and one eigh of i·quad."""
+    n = A.shape[0]
+    c, ct, gamma = dense_module(n)
+    quad = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if A[i, j] != 0:
+                quad += 0.5 * A[i, j] * (ct[i] @ ct[j])
+    w, V = np.linalg.eigh(1j * quad)
+    c_omega = (1j) ** ((n + 1) // 2) * dense_word(c, range(1, n + 1), 1 << n)
+    return 2.0 ** (-n / 2) * complex(np.trace(gamma @ c_omega @ (V * np.exp(-1j * w)) @ V.conj().T))
+
+
+def rotated_blocks(lams, rng) -> np.ndarray:
+    """O blockdiag([[0, λ_j], [-λ_j, 0]]) Oᵀ for a seeded O ∈ SO(n), exactly antisymmetric."""
+    n = 2 * len(lams)
+    block = np.zeros((n, n))
+    for j, lam in enumerate(lams):
+        block[2 * j, 2 * j + 1], block[2 * j + 1, 2 * j] = lam, -lam
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]  # an orientation reversal would flip the Pfaffian's sign
+    a = q @ block @ q.T
+    return (a - a.T) / 2
 
 
 class TestTwistedAdjoint:
@@ -201,6 +263,31 @@ class TestExteriorModule:
         mod = ExteriorModule(n)
         assert np.allclose(mod.gamma @ mod.c_omega(), mod.c_tilde_omega())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_short_word_equals_the_dense_product(self, n):
+        mod = ExteriorModule(n)
+        c, ct, gamma = dense_module(n)
+        assert np.array_equal(mod.gamma, gamma)
+        words = [w for r in range(4) for w in itertools.product(range(1, n + 1), repeat=r)]
+        words += [w for r in range(4, n + 1) for w in itertools.permutations(range(1, n + 1), r)]
+        for i in range(1, n + 1):
+            assert np.array_equal(mod.c(i), c[i - 1]) and np.array_equal(mod.c_tilde(i), ct[i - 1])
+        for word in words:
+            assert np.array_equal(mod.c_word(word), dense_word(c, word, mod.dim)), word
+            assert np.array_equal(mod.c_tilde_word(word), dense_word(ct, word, mod.dim)), word
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_full_words_equal_the_dense_products(self, n):
+        mod = ExteriorModule(n)
+        c, ct, gamma = dense_module(n)
+        assert np.array_equal(mod.gamma, gamma)
+        for word in (range(1, n + 1), range(n, 0, -1)):
+            assert np.array_equal(mod.c_word(word), dense_word(c, word, mod.dim))
+            assert np.array_equal(mod.c_tilde_word(word), dense_word(ct, word, mod.dim))
+        phase = (1j) ** ((n + 1) // 2)
+        assert np.array_equal(mod.c_omega(), phase * dense_word(c, range(1, n + 1), mod.dim))
+        assert np.array_equal(mod.c_tilde_omega(), phase * dense_word(ct, range(1, n + 1), mod.dim))
+
 
 class TestRelativeSupertrace:
     def test_identity_has_zero_supertrace(self):
@@ -235,6 +322,17 @@ class TestRelativeSupertrace:
         with pytest.raises(ValueError):
             relative_supertrace(np.eye(8, dtype=complex), mod)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_the_dense_trace(self, n):
+        rng = np.random.default_rng(n)
+        mod = ExteriorModule(n)
+        c, _, gamma = dense_module(n)
+        c_omega = (1j) ** ((n + 1) // 2) * dense_word(c, range(1, n + 1), mod.dim)
+        for _ in range(3):
+            F = rng.normal(size=(mod.dim, mod.dim)) + 1j * rng.normal(size=(mod.dim, mod.dim))
+            want = 2.0 ** (-n / 2) * np.trace(gamma @ c_omega @ F)
+            assert abs(relative_supertrace(F, mod) - want) <= 1e-12 * mod.dim
+
 
 class TestBerezin:
     def test_lambda_grid(self):
@@ -259,6 +357,23 @@ class TestBerezin:
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             berezin_supertrace_exp(np.eye(2))
+
+    @pytest.mark.parametrize("n, draws", [(2, 6), (4, 6), (6, 4), (8, 2)])
+    def test_left_side_matches_the_dense_reference(self, n, draws):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(draws):
+            B = rng.normal(size=(n, n)) * 0.4
+            A = B - B.T
+            lhs, _ = berezin_supertrace_exp(A)
+            assert abs(lhs - dense_berezin_lhs(A)) <= 1e-12
+
+    @pytest.mark.parametrize("lams", [(0.3, 1.1, 2.0), (0.4, 0.9, 1.7, 2.6), (2.9, 0.05, 1.3, 0.7)])
+    def test_rotated_blocks_give_the_sine_product(self, lams):
+        A = rotated_blocks(lams, np.random.default_rng(len(lams)))
+        want = math.prod(-2j * math.sin(lam) for lam in lams)
+        lhs, rhs = berezin_supertrace_exp(A)
+        assert abs(lhs - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(rhs - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("lam", [3.0, 3.5])
     def test_beyond_the_first_sinh_zero(self, lam):
