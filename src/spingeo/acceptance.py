@@ -287,9 +287,9 @@ def criterion_index_lab() -> CheckResult:
     # (a) λ sweep
     for k in range(0, 21):
         lam = k / 10.0
-        res = index_lab.dlambda_index(lam, 10)
+        model = index_lab.dlambda_model(lam, 10)
         want_kernel = 1 if lam == int(lam) else 0
-        if res["index"] != 0 or res["kernel_dim"] != want_kernel:
+        if model.zero_modes(+1) != want_kernel or model.zero_modes(-1) != want_kernel:
             return CheckResult("index lab", False, f"dlambda sweep fails at λ={lam}")
     # (b) sphere2 supertrace within tail bound
     ts = (0.1, 0.5, 1.0, 2.0)

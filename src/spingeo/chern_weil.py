@@ -637,18 +637,45 @@ def integrate_top(phi: FormPoly, model: CurvatureModel) -> object:
 def model_from_dict(data: dict) -> CurvatureModel:
     """Load a curvature model from {n, entries, volume} JSON data.
 
-    ``entries`` is a list of [i, j, [[indices, coeff], ...]] with 1-based
-    matrix positions and coefficients parseable by sympy, which this imports.
+    ``entries`` is a list of [i, j, [[indices, coeff], ...]] with matrix
+    positions i, j and generator indices in 1..n, and coefficients (like the
+    ``volume``) that sympy, which this imports, parses to a finite expression.
+    Anything else raises ValueError naming the value at fault.
     """
     import sympy
 
-    n = int(data["n"])
+    def position(x, what: str) -> int:
+        if not (isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n):
+            raise ValueError(f"{what} must be an integer in 1..{n}, not {x!r}")
+        return x
+
+    def expression(text, what: str):
+        try:
+            value = sympy.sympify(text)
+        except (AttributeError, TypeError, ValueError):  # sympify evaluates the text: "x.y" raises AttributeError
+            value = None
+        if not isinstance(value, sympy.Expr) or value.has(sympy.nan, sympy.zoo, sympy.oo, -sympy.oo):
+            raise ValueError(f"{what} must be a finite expression, not {text!r}")
+        return value
+
+    if not isinstance(data, dict):
+        raise ValueError(f"a model file holds a JSON object, not {type(data).__name__}")
+    n = data.get("n")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, not {n!r}")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list, not {entries!r}")
     F = FormMatrix.zero(n, n)
-    for i, j, monomials in data.get("entries", []):
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+            raise ValueError(f"an entry must be [i, j, [[indices, coeff], ...]], not {entry!r}")
+        i, j, monomials = entry
         poly = FormPoly(n)
-        for indices, coeff in monomials:
-            poly = poly + FormPoly.monomial(indices, n, sympy.sympify(coeff))
-        F.entries[i - 1][j - 1] = poly
-    return CurvatureModel(
-        str(data.get("name", "custom")), n, F, sympy.sympify(data.get("volume", 1))
-    )
+        for term in monomials:
+            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)):
+                raise ValueError(f"a monomial must be [indices, coeff], not {term!r}")
+            generators = [position(k, "a generator index") for k in term[0]]
+            poly = poly + FormPoly.monomial(generators, n, expression(term[1], "a coefficient"))
+        F.entries[position(i, "a matrix position") - 1][position(j, "a matrix position") - 1] = poly
+    return CurvatureModel(str(data.get("name", "custom")), n, F, expression(data.get("volume", 1), "volume"))

@@ -39,21 +39,20 @@ def _emit(payload: dict, fmt: str, human_lines) -> None:
 def _cmd_classify(args) -> int:
     from . import classification
 
+    fields = {"p": args.p, "q": args.q} if args.complex is None else {"complex_n": args.complex}
+    if args.even:
+        fields["even"] = True
     try:
         if args.complex is not None:
-            t = classification.classify_complex(args.complex)
-            payload = {"command": "classify", "complex_n": args.complex, "result": t.to_dict()}
-            _emit(payload, args.format, [f"Cl^c_{args.complex} = {t}"])
-        elif args.even:
-            t = classification.even_subalgebra_type(args.p, args.q)
-            payload = {"command": "classify", "p": args.p, "q": args.q, "even": True, "result": t.to_dict()}
-            _emit(payload, args.format, [f"Cl^0({args.p},{args.q}) = {t}"])
+            n = args.complex
+            t = (classification.even_subalgebra_complex if args.even else classification.classify_complex)(n)
+            name = f"Cl^{{c,0}}_{n}" if args.even else f"Cl^c_{n}"
         else:
-            t = classification.classify_real(args.p, args.q)
-            payload = {"command": "classify", "p": args.p, "q": args.q, "result": t.to_dict()}
-            _emit(payload, args.format, [f"Cl({args.p},{args.q}) = {t}"])
+            t = (classification.even_subalgebra_type if args.even else classification.classify_real)(args.p, args.q)
+            name = f"Cl^0({args.p},{args.q})" if args.even else f"Cl({args.p},{args.q})"
     except ValueError as exc:
         return _error(f"classify: {exc}")
+    _emit({"command": "classify", **fields, "result": t.to_dict()}, args.format, [f"{name} = {t}"])
     return 0
 
 
@@ -114,7 +113,7 @@ def _cmd_genus(args) -> int:
 
     try:
         model = _load_model(args)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _error(f"cannot load curvature model: {exc}")
     try:
         value = chern_weil.genus_eval(args.name, model.F)
@@ -188,53 +187,51 @@ def _parse_floats(text: str) -> list[float]:
 def _cmd_index(args) -> int:
     from . import index_lab
 
+    payload: dict = {"command": "index", "model": args.model}
+    tail, summary = None, []
     try:
-        ts = index_lab._check_t_grid(_parse_floats(args.t))
-        payload: dict = {"command": "index", "model": args.model, "t": ts}
-        lines = []
-        if args.model == "dlambda":
-            res = index_lab.dlambda_index(args.lam, args.cutoff)
-            payload.update(res, cutoff=args.cutoff)
-            payload["lambda"] = args.lam
-            lines.append(
-                f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {res['kernel_dim']},"
-                f" cokernel {res['cokernel_dim']}, index {res['index']}"
-            )
-            ok = res["index"] == 0
-        elif args.model in ("sphere2", "torus2"):
-            if args.model == "sphere2":
-                model, index = index_lab.sphere2_hodge_model(args.lmax), 2
-                tail = lambda t: index_lab.sphere2_tail_bound(t, args.lmax)
-            else:
-                model, index = index_lab.torus2_hodge_model(args.lmax), 0
-                tail = lambda t: index_lab.SUPERTRACE_TOL
-            check = index_lab.mckean_singer_check(model, ts, index, tail)
-            rows = []
-            for t, val in zip(ts, check["values"]):
-                rows.append({"t": t, "supertrace": val, "tail_bound": tail(t)})
-                lines.append(f"{args.model} t={t} lmax={args.lmax}: str = {val!r} (tail ≤ {tail(t):.2e})")
-            payload.update(lmax=args.lmax, rows=rows, inferred_index=check["inferred_index"])
-            ok = check["passed"]
+        ts = payload["t"] = index_lab._check_t_grid(_parse_floats(args.t))
+        if args.model == "sphere2":
+            model, index = index_lab.sphere2_hodge_model(args.lmax), 2
+            tail = lambda t: index_lab.sphere2_tail_bound(t, args.lmax)
+        elif args.model == "torus2":
+            model, index = index_lab.torus2_hodge_model(args.lmax), 0
+            tail = lambda t: index_lab.SUPERTRACE_TOL
         elif args.model == "torus_dirac":
             delta = tuple(_parse_floats(args.delta))
-            model = index_lab.torus_dirac_model(delta, args.cutoff)
-            check = index_lab.mckean_singer_check(model, ts, 0)
-            rows = [{"t": t, "supertrace": v} for t, v in zip(ts, check["values"])]
-            payload.update(delta=list(delta), cutoff=args.cutoff, rows=rows, kernel_dim=model.kernel_dim())
-            for r in rows:
-                lines.append(f"torus Dirac δ={delta} t={r['t']}: str = {r['supertrace']!r}")
-            lines.append(f"kernel dimension: {model.kernel_dim()}")
-            ok = check["passed"]
+            model, index = index_lab.torus_dirac_model(delta, args.cutoff), 0
+            line = lambda t, v: f"torus Dirac δ={delta} t={t}: str = {v!r}"
+            payload.update(delta=list(delta), cutoff=args.cutoff, kernel_dim=model.kernel_dim())
+            summary = [f"kernel dimension: {model.kernel_dim()}"]
+        elif args.model == "dlambda":
+            model, index = index_lab.dlambda_model(args.lam, args.cutoff), 0
+            kernel, cokernel = model.zero_modes(+1), model.zero_modes(-1)
+            line = lambda t, v: f"D_λ λ={args.lam} t={t}: str = {v!r}"
+            payload.update({"kernel_dim": kernel, "cokernel_dim": cokernel, "index": kernel - cokernel,
+                            "cutoff": args.cutoff, "lambda": args.lam})
+            summary = [f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {kernel}, cokernel {cokernel},"
+                       f" index {kernel - cokernel}"]
         else:
             return _error(f"unknown index model {args.model!r}")
+        check = index_lab.mckean_singer_check(model, ts, index, tail)
     except ValueError as exc:
         return _error(f"index --model {args.model}: {exc}")
+    # ind D = dim ker D⁺ - dim ker D⁻, and by McKean-Singer str e^{-tD²} equals it at every t
+    ok = check["passed"] and model.zero_modes(+1) - model.zero_modes(-1) == index
+    rows = [{"t": t, "supertrace": v} for t, v in zip(ts, check["values"])]
+    if tail:  # the Hodge models report their tail bounds, lmax and the index the grid reads
+        line = lambda t, v: f"{args.model} t={t} lmax={args.lmax}: str = {v!r} (tail ≤ {tail(t):.2e})"
+        for r in rows:
+            r["tail_bound"] = tail(r["t"])
+        payload.update(lmax=args.lmax, inferred_index=check["inferred_index"])
+    payload["rows"] = rows
     if args.format == "csv":
         print("t,supertrace")
-        for r in payload.get("rows", []):
+        for r in rows:
             print(f"{r['t']},{r['supertrace']!r}")
         return 0 if ok else 1
     payload["passed"] = bool(ok)
+    lines = [line(r["t"], r["supertrace"]) for r in rows] + summary
     _emit(payload, args.format, lines + [f"result: {'PASS' if ok else 'FAIL'}"])
     return 0 if ok else 1
 
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="isomorphism type of Cl(p,q) or Cl^c_n")
     p.add_argument("p", type=int, nargs="?", default=0)
     p.add_argument("q", type=int, nargs="?", default=0)
-    p.add_argument("--complex", type=int, default=None, metavar="N")
-    p.add_argument("--even", action="store_true", help="classify the even subalgebra")
+    p.add_argument("--complex", type=int, default=None, metavar="N", help="classify Cl^c_N instead of Cl(p,q)")
+    p.add_argument("--even", action="store_true", help="classify the even subalgebra (also with --complex)")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_classify)
 
@@ -297,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="spectral index-lab runs")
     p.add_argument("--model", default="sphere2", help="dlambda|sphere2|torus2|torus_dirac")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="λ of D_λ for dlambda")
     p.add_argument("--delta", default="0,0", help="spin structure offsets for torus_dirac")
     p.add_argument("--t", default="0.1,0.5,1,2", help="comma-separated times")
-    p.add_argument("--lmax", type=int, default=40)
-    p.add_argument("--cutoff", type=int, default=12)
+    p.add_argument("--lmax", type=int, default=40, help="spectral cutoff for sphere2 and torus2")
+    p.add_argument("--cutoff", type=int, default=12, help="Fourier cutoff for dlambda and torus_dirac")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.set_defaults(func=_cmd_index)
 

@@ -53,8 +53,8 @@ class SpectralModel:
     def __post_init__(self):
         self.entries = sorted(self.entries)
         for lam, mult, chi in self.entries:
-            if lam < 0 or mult < 1 or chi not in (1, -1):
-                raise ValueError("invalid spectral entry")
+            if not 0 <= lam < math.inf or mult < 1 or chi not in (1, -1):
+                raise ValueError(f"invalid spectral entry {(lam, mult, chi)!r}")
 
     def supertrace(self, t: float) -> float:
         """str e^{-tD²}, summed smallest eigenvalue first for reproducibility."""
@@ -64,8 +64,12 @@ class SpectralModel:
             total += chi * mult * math.exp(-t * lam)
         return total
 
+    def zero_modes(self, chirality: int) -> int:
+        """Multiplicity of the eigenvalue 0 on the given chirality: dim ker D^± for D² = D^∓D^±."""
+        return sum(mult for lam, mult, chi in self.entries if lam == 0 and chi == chirality)
+
     def kernel_dim(self) -> int:
-        return sum(mult for lam, mult, _ in self.entries if lam == 0)
+        return self.zero_modes(+1) + self.zero_modes(-1)
 
     def nonzero_spectrum(self, chirality: int) -> list[tuple[float, int]]:
         """Multiset of nonzero eigenvalues on the given chirality."""
@@ -80,29 +84,21 @@ class SpectralModel:
         return self.nonzero_spectrum(+1) == self.nonzero_spectrum(-1)
 
 
-def dlambda_index(lam: float, cutoff: int) -> dict:
-    """Kernel, cokernel and index of D_λ f = f' - 2πiλ f on the circle.
+def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
+    """Graded model of D_λ f = f' - 2πiλ f on the circle: D*D on the + side, DD* on the - side.
 
-    On the Fourier mode e^{2πinx} the eigenvalue is 2πi(n - λ); the adjoint
-    d/dx + 2πiλ has eigenvalue 2πi(n + λ).  The kernel is 1-dimensional
-    exactly when λ is an integer, and the index vanishes identically.
+    On the modes e^{2πinx}, |n| ≤ cutoff, D_λ has eigenvalues 2πi(n - λ) and the adjoint
+    d/dx + 2πiλ has 2πi(n + λ), so ker D_λ = ``zero_modes(+1)`` and coker D_λ =
+    ``zero_modes(-1)`` are 1-dimensional at integer λ, else 0: the index vanishes.
     """
     if not math.isfinite(lam):
         raise ValueError(f"λ must be finite, not {lam!r}")
     if cutoff < abs(lam) + 1:
         raise ValueError("cutoff must exceed |λ| + 1")
-    modes = range(-cutoff, cutoff + 1)
-    kernel = sum(1 for n in modes if n == lam)
-    cokernel = sum(1 for n in modes if n == -lam)
-    return {"kernel_dim": kernel, "cokernel_dim": cokernel, "index": kernel - cokernel}
-
-
-def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
-    """Graded model of D_λ: D*D on the + side, DD* on the - side."""
     entries = []
     for n in range(-cutoff, cutoff + 1):
-        entries.append(((2 * math.pi * (n - lam)) ** 2, 1, +1))
-        entries.append(((2 * math.pi * (n + lam)) ** 2, 1, -1))
+        for d, chi in ((n - lam, +1), (n + lam, -1)):  # a d ≠ 0 whose (2πd)² underflows (|λ| < 1e-162) stays > 0
+            entries.append(((2 * math.pi * d) ** 2 or (math.ulp(0.0) if d else 0.0), 1, chi))
     return SpectralModel("dlambda", entries)
 
 
@@ -181,17 +177,18 @@ def sphere2_tail_bound(t: float, l_max: int) -> float:
     return 4.0 * (l_max + 1) ** 2 * math.exp(-t * l_max * (l_max + 1))
 
 
-def mckean_singer_check(model: SpectralModel, t_grid, index: int | None = None, tail_bound=lambda t: 0.0) -> dict:
+def mckean_singer_check(model: SpectralModel, t_grid, index: int | None = None, tail_bound=None) -> dict:
     """Judge the graded heat trace on a grid against the index.
 
     By McKean-Singer str e^{-tD²} = ind D for every t > 0, so each value must
-    lie within max(tail_bound(t), SUPERTRACE_TOL) of ``index``, which defaults
-    to the integer nearest the first value (reported as ``inferred_index``).
+    lie within SUPERTRACE_TOL, or tail_bound(t) if given and larger, of ``index``,
+    which defaults to the integer nearest the first value (``inferred_index``).
     """
     t_grid = _check_t_grid(t_grid)
     values = [model.supertrace(t) for t in t_grid]
     inferred = round(values[0])
     index = inferred if index is None else index
+    tail_bound = tail_bound or (lambda t: 0.0)
     passed = all(abs(v - index) <= max(tail_bound(t), SUPERTRACE_TOL) for t, v in zip(t_grid, values))
     deviation = max(abs(v - inferred) for v in values)
     return {"inferred_index": inferred, "max_deviation_from_integer": deviation, "values": values, "passed": passed}

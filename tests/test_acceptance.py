@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spingeo import acceptance
+from spingeo import acceptance, index_lab
 
 
 def _run(fn, limit, **kwargs):
@@ -67,6 +67,18 @@ def test_criterion_09_cech_suite():
 
 def test_criterion_10_index_lab():
     _run(acceptance.criterion_index_lab, 60)
+
+
+def test_criterion_10_sees_a_lost_cokernel(monkeypatch):
+    true_model = index_lab.dlambda_model
+
+    def planted(lam, cutoff):  # D_λ without the zero mode of its adjoint
+        entries = [e for e in true_model(lam, cutoff).entries if e[0] > 0 or e[2] == +1]
+        return index_lab.SpectralModel("dlambda", entries)
+
+    monkeypatch.setattr(index_lab, "dlambda_model", planted)
+    result = acceptance.criterion_index_lab()
+    assert not result.passed and result.detail == "dlambda sweep fails at λ=0.0"
 
 
 def test_criterion_11_substitution_suites():

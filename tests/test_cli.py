@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spingeo import index_lab
 from spingeo.cli import main
 
 
@@ -33,6 +34,20 @@ class TestClassify:
         code, out = run_cli(capsys, ["classify", "2", "0", "--even"])
         assert code == 0
         assert out.strip() == "Cl^0(2,0) = C"
+
+    @pytest.mark.parametrize("n, want", [(1, "C"), (2, "C + C"), (3, "M2(C)"), (4, "M2(C) + M2(C)")])
+    def test_complex_even_flag(self, capsys, n, want):
+        # the even part of Cl^c_n is Cl^c_{n-1}
+        code, out = run_cli(capsys, ["classify", "--complex", str(n), "--even"])
+        assert code == 0
+        assert out.strip() == f"Cl^{{c,0}}_{n} = {want}"
+
+    def test_complex_even_json(self, capsys):
+        code, out = run_cli(capsys, ["classify", "--complex", "3", "--even", "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["complex_n"] == 3 and data["even"] is True
+        assert data["result"] == {"base": "C", "size": 2, "doubled": False}
 
 
 class TestSpinrep:
@@ -104,6 +119,45 @@ class TestGenus:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "positive even degree" in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                {"n": 2, "entries": [[0, 1, [[[1, 2], "1"]]], [1, 0, [[[1, 2], "-1"]]]]},
+                "matrix position must be an integer in 1..2, not 0",
+            ),
+            ({"n": 2, "entries": [[3, 1, [[[1, 2], "1"]]]]}, "matrix position must be an integer in 1..2, not 3"),
+            ({"n": 2, "entries": [[1, 2.0, [[[1, 2], "1"]]]]}, "matrix position must be an integer in 1..2, not 2.0"),
+            ({"n": 2, "entries": 5}, "entries must be a list, not 5"),
+            ({"n": 2, "entries": [[1, 2]]}, "an entry must be [i, j, [[indices, coeff], ...]]"),
+            ({"n": 2, "entries": [[1, 2, [[1, "1"]]]]}, "a monomial must be [indices, coeff]"),
+            ([1, 2], "a model file holds a JSON object, not list"),
+            ({"n": 2.5, "entries": []}, "n must be an integer >= 1, not 2.5"),
+            ({"entries": []}, "n must be an integer >= 1, not None"),
+            ({"n": 0, "entries": []}, "n must be an integer >= 1, not 0"),
+            (
+                {"n": 2, "entries": [[1, 2, [[[0, 2], "1"]]], [2, 1, [[[0, 2], "-1"]]]]},
+                "generator index must be an integer in 1..2, not 0",
+            ),
+            ({"n": 2, "entries": [[1, 2, [[[1, 3], "1"]]]]}, "generator index must be an integer in 1..2, not 3"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], "1/"]]]]}, "a coefficient must be a finite expression, not '1/'"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], "x.y"]]]]}, "a coefficient must be a finite expression, not 'x.y'"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], None]]]]}, "a coefficient must be a finite expression, not None"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], "1/0"]]]]}, "a coefficient must be a finite expression, not '1/0'"),
+            ({"n": 2, "entries": [], "volume": "((("}, "volume must be a finite expression, not '((('"),
+        ],
+    )
+    def test_bad_model_file_exits_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(content))
+        code = main(["genus", "--model-file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load curvature model: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 class TestCech:
@@ -187,6 +241,32 @@ class TestIndex:
         assert data["kernel_dim"] == 0
         assert abs(data["rows"][0]["supertrace"]) <= 1e-12
 
+    def test_dlambda_csv_evaluates_its_grid(self, capsys):
+        code, out = run_cli(capsys, ["index", "--model", "dlambda", "--t", "0.3,1", "--format", "csv"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "t,supertrace" and len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.3", "1.0"]
+        for line in lines[1:]:
+            assert abs(float(line.split(",")[1])) <= 1e-12
+
+    def test_dlambda_json(self, capsys):
+        code, out = run_cli(capsys, ["index", "--model", "dlambda", "--lambda", "2", "--t", "0.2", "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["kernel_dim"], data["cokernel_dim"], data["index"]) == (1, 1, 0)
+        assert (data["cutoff"], data["lambda"], data["passed"]) == (12, 2.0, True)
+        assert [row["t"] for row in data["rows"]] == [0.2]
+        assert abs(data["rows"][0]["supertrace"]) <= 1e-12
+
+    def test_verdict_counts_the_kernel(self, capsys, monkeypatch):
+        # e^{-t·1e-300} = 1 to 1e-12 on any grid: the heat trace reads index 0, yet only the + side has a zero mode
+        planted = index_lab.SpectralModel("dlambda", [(0.0, 1, +1), (1e-300, 1, -1)])
+        monkeypatch.setattr(index_lab, "dlambda_model", lambda lam, cutoff: planted)
+        code, out = run_cli(capsys, ["index", "--model", "dlambda", "--t", "0.5"])
+        assert code == 1
+        assert out.splitlines()[-2:] == ["D_λ (λ=0.5, cutoff=12): kernel 1, cokernel 0, index 1", "result: FAIL"]
+
     def test_unknown_model_exits_2(self, capsys):
         code, _ = run_cli(capsys, ["index", "--model", "klein"])
         assert code == 2
@@ -235,6 +315,8 @@ class TestUsageErrors:
             (["genus", "--model", "product_of_nothing"], "unknown curvature model"),
             (["index", "--model", "dlambda", "--t", "nan", "--format", "json"], "t must be positive and finite"),
             (["index", "--model", "dlambda", "--t", ","], "empty t grid"),
+            (["index", "--model", "dlambda", "--lambda", "5", "--cutoff", "5"], "cutoff must exceed |λ| + 1"),
+            (["classify", "--complex", "0", "--even"], "even subalgebra type needs n >= 1"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

@@ -48,6 +48,8 @@ def loaded_after(argv):
         (["cech", "--nerve", "torus", "--w2"], set()),
         (["index", "--model", "sphere2"], set()),
         (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], set()),
+        (["index", "--model", "dlambda"], set()),
+        (["index", "--model", "torus2"], set()),
         (["genus", "--name", "ahat", "--model", "sphere4"], set()),
         (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], set()),
         (["spinrep", "4", "--check", "all"], {"numpy"}),

@@ -9,7 +9,6 @@ from spingeo.index_lab import (
     SpectralModel,
     delta_limit_error,
     dirac_symbol,
-    dlambda_index,
     dlambda_model,
     line_heat_kernel,
     mckean_singer_check,
@@ -33,6 +32,9 @@ class TestSpectralModel:
             SpectralModel("bad", [(1.0, 0, 1)])
         with pytest.raises(ValueError):
             SpectralModel("bad", [(1.0, 1, 2)])
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="invalid spectral entry"):
+                SpectralModel("bad", [(0.0, 1, 1), (lam, 1, -1)])
 
     def test_supertrace_needs_positive_time(self):
         model = SpectralModel("m", [(0.0, 1, 1)])
@@ -43,31 +45,43 @@ class TestSpectralModel:
     def test_kernel_and_symmetry(self):
         model = SpectralModel("m", [(0.0, 2, 1), (3.0, 1, 1), (3.0, 1, -1)])
         assert model.kernel_dim() == 2
+        assert (model.zero_modes(+1), model.zero_modes(-1)) == (2, 0)
         assert model.spectral_symmetry_holds()
         assert model.supertrace(1.0) == pytest.approx(2.0)
 
 
+def dlambda_kernels(lam, cutoff):
+    """(ker, coker, index) of D_λ read off the model's zero modes."""
+    model = dlambda_model(lam, cutoff)
+    kernel, cokernel = model.zero_modes(+1), model.zero_modes(-1)
+    return kernel, cokernel, kernel - cokernel
+
+
 class TestDLambda:
     def test_integer_lambda(self):
-        got = dlambda_index(3, cutoff=10)
-        assert got == {"kernel_dim": 1, "cokernel_dim": 1, "index": 0}
+        assert dlambda_kernels(3, cutoff=10) == (1, 1, 0)
 
     def test_noninteger_lambda(self):
-        got = dlambda_index(0.5, cutoff=10)
-        assert got == {"kernel_dim": 0, "cokernel_dim": 0, "index": 0}
+        assert dlambda_kernels(0.5, cutoff=10) == (0, 0, 0)
+
+    def test_tiny_lambda_is_no_zero_mode(self):
+        # (2πλ)² underflows to 0.0 for |λ| < 1e-162, yet n = 0 ≠ λ
+        for lam in (1e-170, -1e-300, 5e-324):
+            assert dlambda_kernels(lam, cutoff=3) == (0, 0, 0)
+        assert dlambda_kernels(0.0, cutoff=3) == (1, 1, 0)
 
     def test_index_vanishes_on_sweep(self):
         for lam in np.linspace(-3, 3, 25):
-            assert dlambda_index(float(lam), cutoff=8)["index"] == 0
+            assert dlambda_kernels(float(lam), cutoff=8)[2] == 0
 
     def test_cutoff_precondition(self):
-        with pytest.raises(ValueError):
-            dlambda_index(5, cutoff=5)
+        with pytest.raises(ValueError, match="cutoff must exceed"):
+            dlambda_model(5, cutoff=5)
 
     def test_nonfinite_lambda_rejected(self):
         for lam in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="λ must be finite"):
-                dlambda_index(lam, cutoff=10)
+                dlambda_model(lam, cutoff=10)
 
     def test_model_supertrace_is_zero(self):
         # n -> -n matches the two sides, so the spectra agree for any λ
