@@ -103,14 +103,21 @@ def _load_model(args):
         with open(args.model_file) as fh:
             return chern_weil.model_from_dict(json.load(fh))
     if args.model == "product":
-        sphere = chern_weil.curvature_model("sphere2", args.radius)
+        sphere = chern_weil.curvature_model("sphere2", _radius(args))
         return chern_weil.product_model(sphere, sphere)
-    return chern_weil.curvature_model(args.model, args.radius)
+    return chern_weil.curvature_model(args.model, _radius(args))
+
+
+def _radius(args) -> str:
+    """The built-in model's radius: ``--radius``, 1 by default."""
+    return "1" if args.radius is None else args.radius
 
 
 def _cmd_genus(args) -> int:
     from . import chern_weil
 
+    if args.model_file and args.radius is not None:
+        return _error("--radius does not apply to --model-file: a model file has no radius")
     try:
         model = _load_model(args)
     except (OSError, ValueError) as exc:
@@ -124,11 +131,12 @@ def _cmd_genus(args) -> int:
         "command": "genus",
         "genus": args.name,
         "model": model.name,
-        "radius": str(args.radius),
         "top_coefficient": str(value.top_coefficient()),
         "integral": str(total),
     }
-    if args.model_file:  # a model file's integral is a sympy expression
+    if not args.model_file:
+        payload["radius"] = _radius(args)
+    else:  # a model file's integral is a sympy expression
         import sympy
 
         total = sympy.nsimplify(total)
@@ -194,6 +202,9 @@ def _cmd_index(args) -> int:
         if args.model == "sphere2":
             model, index = index_lab.sphere2_hodge_model(args.lmax), 2
             tail = lambda t: index_lab.sphere2_tail_bound(t, args.lmax)
+            for t in ts:  # a bound of 1/2 or more cannot tell the index from its neighbours
+                if tail(t) >= 0.5:
+                    raise ValueError(f"tail bound {tail(t):.3g} at t={t}, lmax={args.lmax} is not below 0.5")
         elif args.model == "torus2":
             model, index = index_lab.torus2_hodge_model(args.lmax), 0
             tail = lambda t: index_lab.SUPERTRACE_TOL
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("euler", "ahat", "lgenus", "pontryagin", "chern", "todd", "chern_char"))
     p.add_argument("--model", default="sphere2", help="sphere2|torus2|sphere4|product")
     p.add_argument("--model-file", default=None, help="JSON curvature model file")
-    p.add_argument("--radius", default="1", help="radius parameter (rational ok)")
+    p.add_argument("--radius", default=None, help="radius of a built-in model (rational ok; default 1)")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_genus)
 

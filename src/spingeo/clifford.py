@@ -42,12 +42,19 @@ class Signature(NamedTuple):
         return -1 if i <= self.p else 1
 
 
+#: Signatures _validate_signature has accepted: valid ones only, so at most 2,145.
+_VALID_SIGNATURES: set[Signature] = set()
+
+
 def _validate_signature(sig: Signature) -> Signature:
+    if type(sig) is Signature and sig in _VALID_SIGNATURES:
+        return sig
     sig = Signature(*sig)
     if sig.p < 0 or sig.q < 0:
         raise ValueError("signature counts must be nonnegative")
     if sig.n > 64:
         raise ValueError("at most 64 generators are supported")
+    _VALID_SIGNATURES.add(sig)
     return sig
 
 
@@ -220,26 +227,49 @@ def _blade_reversal_sign(blade: int) -> int:
     return -1 if (k * (k - 1) // 2) & 1 else 1
 
 
-def _gaussian_numerators(coeffs: Iterable[QI]) -> tuple[int, list[tuple[int, int]]]:
-    """A common denominator d and the integer pairs (d*re, d*im) of coeffs."""
-    coeffs = list(coeffs)
-    d = math.lcm(*(f.denominator for c in coeffs for f in (c.re, c.im)))
-    return d, [
-        (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
-        for c in coeffs
-    ]
+#: Coefficient types the integer-numerator product takes, tested with
+#: ``type(c) is``, so bool and other subclasses take the generic loop.
+_EXACT = frozenset((int, Fraction, QI))
 
 
-def _gaussian_product(left: dict[int, QI], right: list[tuple[int, QI, int]]) -> dict[int, QI]:
-    """Terms of the product of two all-QI multivectors, summed on integers.
+def _exact_kind(ta: set[type], tb: set[type]) -> type | None:
+    """QI or Fraction, whichever is the wider of two factors' coefficient types, or None.
 
-    ``right`` holds (blade, coefficient, sign mask) triples.  Both factors
-    are scaled to Gaussian-integer numerators over a common denominator, so
-    the double loop multiplies and adds plain ints and one QI is built per
-    output blade; the values equal those of the Fraction loop exactly.
+    None unless all are exact and one factor holds only the wider: then each
+    term of the generic loop, a sum of products with a factor of that type, has
+    it too.  All-int factors give None, as the generic loop sums them on ints.
     """
-    da, lnum = _gaussian_numerators(left.values())
-    db, rnum = _gaussian_numerators(cb for _, cb, _ in right)
+    kind = QI if QI in ta | tb else Fraction
+    return kind if ta | tb <= _EXACT and {kind} in (ta, tb) else None
+
+
+def _numerators(coeffs: Iterable[Coefficient], gaussian: bool) -> tuple[int, list]:
+    """A common denominator d and the numerators of exact coeffs over d, as (re, im) pairs if gaussian."""
+    coeffs = [x for c in coeffs for x in ((c.re, c.im) if type(c) is QI else (c, 0))] if gaussian else list(coeffs)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (d // c.denominator) for c in coeffs]
+    return d, list(zip(nums[::2], nums[1::2])) if gaussian else nums
+
+
+def _exact_product(left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]], kind: type) -> dict:
+    """Terms of the product of two factors of :func:`_exact_kind` ``kind``, summed on integers.
+
+    ``right`` holds (blade, coefficient, sign mask) triples.  Both factors are
+    scaled to integer (Gaussian if ``kind`` is QI) numerators over a common
+    denominator, so the double loop multiplies and adds plain ints and one
+    ``kind`` is built per output blade: values, types and order are the generic loop's.
+    """
+    gaussian = kind is QI
+    da, lnum = _numerators(left.values(), gaussian)
+    db, rnum = _numerators((cb for _, cb, _ in right), gaussian)
+    d = da * db
+    if not gaussian:
+        rows = [(bb, br, m) for (bb, _, m), br in zip(right, rnum)]
+        acc: dict[int, int] = {}
+        for ba, ar in zip(left, lnum):
+            for bb, br, m in rows:
+                acc[ba ^ bb] = acc.get(ba ^ bb, 0) + (-(ar * br) if (ba & m).bit_count() & 1 else ar * br)
+        return {blade: Fraction(v, d) for blade, v in acc.items()}
     rows = [(bb, br, bi, m) for (bb, _, m), (br, bi) in zip(right, rnum)]
     re_acc: dict[int, int] = {}
     im_acc: dict[int, int] = {}
@@ -252,7 +282,6 @@ def _gaussian_product(left: dict[int, QI], right: list[tuple[int, QI, int]]) -> 
                 real, imag = -real, -imag
             re_acc[blade] = re_acc.get(blade, 0) + real
             im_acc[blade] = im_acc.get(blade, 0) + imag
-    d = da * db
     return {
         blade: QI(Fraction(real, d), Fraction(im_acc[blade], d)) for blade, real in re_acc.items()
     }
@@ -269,16 +298,21 @@ class Multivector:
 
     def __init__(self, signature: Signature, terms: dict[int, Coefficient] | None = None):
         sig = _validate_signature(signature)
-        clean: dict[int, Coefficient] = {}
+        terms = terms or {}
         limit = (1 << sig.n) - 1 if sig.n < 64 else ~0
-        for blade, coeff in (terms or {}).items():
+        for blade in terms:
             if blade & ~limit:
                 raise ValueError(f"blade {blade:b} outside Cl({sig.p},{sig.q})")
-            if coeff == 0:
-                continue
-            clean[blade] = coeff
         object.__setattr__(self, "signature", sig)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {b: c for b, c in terms.items() if c != 0})
+
+    @classmethod
+    def _make(cls, sig: Signature, terms: dict[int, Coefficient]) -> "Multivector":
+        """A kernel's result: ``sig`` is validated and every blade in range, so only zeros are pruned."""
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "signature", sig)
+        object.__setattr__(mv, "terms", {b: c for b, c in terms.items() if c != 0})
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -331,12 +365,12 @@ class Multivector:
         terms = dict(self.terms)
         for blade, coeff in other.terms.items():
             terms[blade] = terms.get(blade, 0) + coeff
-        return Multivector(self.signature, terms)
+        return Multivector._make(self.signature, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.signature, {b: -c for b, c in self.terms.items()})
+        return Multivector._make(self.signature, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -346,27 +380,28 @@ class Multivector:
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
-            return Multivector(self.signature, {b: c * other for b, c in self.terms.items()})
+            return Multivector._make(self.signature, {b: c * other for b, c in self.terms.items()})
         self._check_sig(other)
         sig = self.signature
         neg = (1 << sig.p) - 1
         right = [(bb, cb, _sign_mask(bb, neg, sig.n)) for bb, cb in other.terms.items()]
-        if all(isinstance(c, QI) for t in (self.terms, other.terms) for c in t.values()):
-            return Multivector(sig, _gaussian_product(self.terms, right))
+        kind = _exact_kind({type(c) for c in self.terms.values()}, {type(c) for c in other.terms.values()})
+        if kind is not None:
+            return Multivector._make(sig, _exact_product(self.terms, right, kind))
         terms: dict[int, Coefficient] = {}
         for ba, ca in self.terms.items():
             for bb, cb, m in right:
                 blade = ba ^ bb
                 contrib = -(ca * cb) if (ba & m).bit_count() & 1 else ca * cb
                 terms[blade] = terms.get(blade, 0) + contrib
-        return Multivector(sig, terms)
+        return Multivector._make(sig, terms)
 
     def __rmul__(self, other):
         # scalars commute with everything
-        return Multivector(self.signature, {b: other * c for b, c in self.terms.items()})
+        return Multivector._make(self.signature, {b: other * c for b, c in self.terms.items()})
 
     def __truediv__(self, scalar):
-        return Multivector(self.signature, {b: c / scalar for b, c in self.terms.items()})
+        return Multivector._make(self.signature, {b: c / scalar for b, c in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -381,7 +416,11 @@ class Multivector:
             if other == 0:
                 return not self.terms
             return set(self.terms) == {0} and self.terms[0] == other
-        return self.signature == other.signature and (self - other).terms == {}
+        if self.signature != other.signature:
+            return False
+        if {type(c) for t in (self.terms, other.terms) for c in t.values()} <= _EXACT:
+            return self.terms == other.terms  # pruned and exact; inf - inf needs the difference
+        return (self - other).terms == {}
 
     def __hash__(self):
         # equal multivectors share their blade support whatever the
@@ -394,7 +433,7 @@ class Multivector:
         return {b.bit_count() for b in self.terms}
 
     def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.signature, {b: c for b, c in self.terms.items() if b.bit_count() == k})
+        return Multivector._make(self.signature, {b: c for b, c in self.terms.items() if b.bit_count() == k})
 
     def parity(self) -> str:
         gs = {g % 2 for g in self.grades()}
@@ -414,14 +453,14 @@ class Multivector:
 
     def grade_involution(self) -> "Multivector":
         """The algebra automorphism that negates odd blades."""
-        return Multivector(
+        return Multivector._make(
             self.signature,
             {b: (-c if b.bit_count() & 1 else c) for b, c in self.terms.items()},
         )
 
     def transpose(self) -> "Multivector":
         """Anti-automorphism reversing each blade's factors: sign (-1)^(k(k-1)/2)."""
-        return Multivector(
+        return Multivector._make(
             self.signature,
             {b: (c if _blade_reversal_sign(b) > 0 else -c) for b, c in self.terms.items()},
         )
@@ -480,11 +519,11 @@ def supercommutator(a: Multivector, b: Multivector) -> Multivector:
     a._check_sig(b)
     out = Multivector.zero(a.signature)
     for pa in (0, 1):
-        xa = Multivector(a.signature, {bl: c for bl, c in a.terms.items() if bl.bit_count() % 2 == pa})
+        xa = Multivector._make(a.signature, {bl: c for bl, c in a.terms.items() if bl.bit_count() % 2 == pa})
         if xa.is_zero():
             continue
         for pb in (0, 1):
-            xb = Multivector(b.signature, {bl: c for bl, c in b.terms.items() if bl.bit_count() % 2 == pb})
+            xb = Multivector._make(b.signature, {bl: c for bl, c in b.terms.items() if bl.bit_count() % 2 == pb})
             if xb.is_zero():
                 continue
             if pa and pb:

@@ -169,11 +169,13 @@ def torus2_hodge_model(cutoff: int) -> SpectralModel:
 
 
 def sphere2_tail_bound(t: float, l_max: int) -> float:
-    """Truncation error bound for the S² supertrace, valid for t ≥ 0.1.
+    """Truncation error bound for the S² supertrace, valid for t ≥ 0.1 (a smaller t raises ValueError).
 
     The dropped terms cancel in pairs except for bookkeeping at l_max, so
     4(l_max+1)² e^{-t l_max(l_max+1)} dominates the remainder crudely.
     """
+    if t < 0.1:
+        raise ValueError(f"the S² tail bound holds for t ≥ 0.1, not t = {t}")
     return 4.0 * (l_max + 1) ** 2 * math.exp(-t * l_max * (l_max + 1))
 
 

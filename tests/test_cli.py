@@ -91,6 +91,17 @@ class TestGenus:
         data = json.loads(out)
         assert data["integral"] == "2"
 
+    def test_radius_is_reported_for_built_in_models_only(self, capsys, tmp_path):
+        code, out = run_cli(capsys, ["genus", "--model", "sphere2", "--format", "json"])
+        assert code == 0 and json.loads(out)["radius"] == "1"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 2, [[[1, 2], "1"]]], [2, 1, [[[1, 2], "-1"]]]],
+                                    "volume": "4*pi"}))
+        code, out = run_cli(capsys, ["genus", "--model-file", str(path), "--format", "json"])
+        data = json.loads(out)
+        assert code == 0 and data["integral"] == "2"
+        assert "radius" not in data
+
     def test_missing_model_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, ["genus", "--model-file", "/nonexistent/model.json"])
         assert code == 2
@@ -230,6 +241,12 @@ class TestIndex:
             t, val = line.split(",")
             assert float(val) == pytest.approx(2.0, abs=1e-10)
 
+    def test_sphere2_default_grid_passes(self, capsys):
+        code, out = run_cli(capsys, ["index", "--model", "sphere2", "--format", "json"])
+        data = json.loads(out)
+        assert code == 0 and data["passed"] and data["t"] == [0.1, 0.5, 1.0, 2.0] and data["lmax"] == 40
+        assert max(r["tail_bound"] for r in data["rows"]) < 0.5
+
     def test_torus_dirac_json(self, capsys):
         code, out = run_cli(
             capsys,
@@ -317,6 +334,13 @@ class TestUsageErrors:
             (["index", "--model", "dlambda", "--t", ","], "empty t grid"),
             (["index", "--model", "dlambda", "--lambda", "5", "--cutoff", "5"], "cutoff must exceed |λ| + 1"),
             (["classify", "--complex", "0", "--even"], "even subalgebra type needs n >= 1"),
+            (["genus", "--model-file", "model.json", "--radius", "5"], "--radius does not apply to --model-file"),
+            (["genus", "--model-file", "model.json", "--radius", "1"], "a model file has no radius"),
+            (["index", "--model", "sphere2", "--lmax", "3", "--t", "0.01"], "holds for t ≥ 0.1, not t = 0.01"),
+            (["index", "--model", "sphere2", "--t", "0.5,0.09"], "holds for t ≥ 0.1, not t = 0.09"),
+            (["index", "--model", "sphere2", "--lmax", "3", "--t", "0.1"],
+             "tail bound 19.3 at t=0.1, lmax=3 is not below 0.5"),
+            (["index", "--model", "sphere2", "--lmax", "1", "--t", "2,0.5", "--format", "csv"], "at t=0.5, lmax=1"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

@@ -1,7 +1,10 @@
 """Property-based tests of the Clifford algebra's value semantics and laws."""
 
+import math
+import time
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +161,8 @@ def assert_same_terms(got: dict, want: dict):
     for blade, value in want.items():
         assert type(got[blade]) is type(value), blade
         assert got[blade] == value, blade
+        if isinstance(value, (float, complex)):
+            assert repr(got[blade]) == repr(value), blade  # the same bits, -0.0 included
 
 
 @PROPERTY_SETTINGS
@@ -181,6 +186,177 @@ def test_dense_exact_product_matches_schoolbook():
     a = Multivector(sig, {k: QI(Fraction(k + 1, 7), Fraction(-k, 11)) for k in range(32)})
     b = Multivector(sig, {k: QI(Fraction(3, 2 * k + 5)) for k in range(32)})
     assert_same_terms((a * b).terms, schoolbook_product(a, b))
+
+
+# -- exact coefficients of every type and mix on the integer-numerator path ----
+
+def factor_terms(sig: Signature, values):
+    return st.dictionaries(st.integers(0, (1 << sig.n) - 1), values, max_size=8)
+
+
+small_fractions = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), big_fractions
+)
+gaussians = st.builds(QI, small_fractions, small_fractions)
+
+#: a factor's coefficients: all of one type, an exact mix, or complex
+factor_values = st.sampled_from(
+    (
+        small_ints,
+        small_fractions,
+        gaussians,
+        st.one_of(small_ints, small_fractions),
+        st.one_of(small_ints, small_fractions, gaussians),
+        st.one_of(small_ints, st.booleans()),
+        st.builds(complex, bounded_floats, bounded_floats),
+    )
+)
+
+signatures_to_8 = st.integers(0, 8).flatmap(lambda n: st.integers(0, n).map(lambda p: Signature(p, n - p)))
+
+
+@st.composite
+def factor_pairs(draw):
+    sig = draw(signatures_to_8)
+    ta = draw(factor_terms(sig, draw(factor_values)))
+    tb = draw(factor_terms(sig, draw(factor_values)))
+    return sig, ta, tb
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_pairs())
+def test_product_matches_generic_loop_on_every_coefficient_mix(sig_terms):
+    sig, ta, tb = sig_terms
+    a, b = Multivector(sig, ta), Multivector(sig, tb)
+    assert_same_terms((a * b).terms, schoolbook_product(a, b))
+    assert_same_terms((b * a).terms, schoolbook_product(b, a))
+
+
+def test_product_type_is_the_wider_factors():
+    # one factor all Fraction with integral values, the other int: the
+    # generic loop gives Fraction, never the int of the narrower factor
+    sig = Signature(1, 1)
+    a = Multivector(sig, {0: 2, 1: 3})
+    b = Multivector(sig, {0: Fraction(4), 2: Fraction(-1)})
+    for got, want in (((a * b).terms, schoolbook_product(a, b)), ((b * a).terms, schoolbook_product(b, a))):
+        assert_same_terms(got, want)
+        assert {type(c) for c in got.values()} == {Fraction}
+    q = Multivector(sig, {0: QI(1), 3: QI(0, 2)})
+    assert {type(c) for c in (a * q).terms.values()} == {QI}
+    assert {type(c) for c in (b * q).terms.values()} == {QI}
+
+
+def test_product_keeps_each_factors_denominator():
+    sig = Signature(2, 0)
+    a = Multivector(sig, {0: Fraction(1, 3), 1: Fraction(1, 2)})
+    b = Multivector(sig, {0: Fraction(1, 5), 3: 1})
+    assert_same_terms((a * b).terms, schoolbook_product(a, b))
+    assert (a * b).terms[0] == Fraction(1, 15)
+    g = Multivector(sig, {0: QI(Fraction(1, 7), Fraction(1, 3)), 2: Fraction(1, 2)})
+    assert_same_terms((g * a).terms, schoolbook_product(g, a))
+    assert (g * a).terms[0] == QI(Fraction(1, 21), Fraction(1, 9))
+
+
+def test_dense_fraction_product_at_n10_within_budget():
+    sig = Signature(6, 4)
+    a = Multivector(sig, {k: Fraction(k % 13 - 6, k % 7 + 1) for k in range(1 << 10)})
+    b = Multivector(sig, {k: Fraction(3 - k % 5, 2 * (k % 11) + 1) for k in range(1 << 10)})
+    start = time.perf_counter()
+    c = a * b
+    elapsed = time.perf_counter() - start
+    assert {type(v) for v in c.terms.values()} == {Fraction}
+    for blade in (0, 0b1011001110, (1 << 10) - 1):
+        want = 0
+        for ba, ca in a.terms.items():
+            sign, _ = blade_mul(ba, ba ^ blade, sig)
+            want += sign * ca * b.terms.get(ba ^ blade, 0)
+        assert c.terms.get(blade, 0) == want, blade
+    assert elapsed < 1.0, f"dense Fraction product at n = 10 took {elapsed:.2f} s"
+
+
+# -- equality: dicts on exact terms, the difference elsewhere ------------------
+
+def difference_is_zero(a: Multivector, b: Multivector) -> bool:
+    """Equality as the difference defines it."""
+    return a.signature == b.signature and (a - b).terms == {}
+
+
+RETYPE = (int, Fraction, QI)
+
+
+@PROPERTY_SETTINGS
+@given(
+    signatures.flatmap(lambda s: st.tuples(st.just(s), blade_dicts(s, small_ints), blade_dicts(s, exact_coeffs))),
+    st.sampled_from(RETYPE),
+    st.sampled_from(RETYPE),
+)
+def test_exact_equality_agrees_with_the_difference(sig_terms, kind_a, kind_b):
+    sig, ints, other = sig_terms
+    a = Multivector(sig, {b: kind_a(c) for b, c in ints.items()})
+    for b in (Multivector(sig, {k: kind_b(c) for k, c in ints.items()}), Multivector(sig, other)):
+        assert (a == b) == difference_is_zero(a, b)
+        assert (a != b) == (not difference_is_zero(a, b))
+    assert a == Multivector(sig, {b: kind_b(c) for b, c in ints.items()})
+
+
+special_floats = st.sampled_from((math.inf, -math.inf, math.nan, 0.5, 1 / 3, -0.0, 2.0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    signatures.flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            blade_dicts(s, st.one_of(special_floats, exact_coeffs)),
+            blade_dicts(s, st.one_of(special_floats, exact_coeffs)),
+        )
+    )
+)
+def test_float_equality_is_the_difference(sig_terms):
+    sig, ta, tb = sig_terms
+    a, b = Multivector(sig, ta), Multivector(sig, tb)
+    assert (a == b) == difference_is_zero(a, b)
+
+
+def test_float_equality_keeps_todays_answers():
+    sig = Signature(1, 0)
+    inf = Multivector.scalar(math.inf, sig)
+    assert inf != Multivector.scalar(math.inf, sig)  # inf - inf is nan
+    assert Multivector.scalar(math.nan, sig) != Multivector.scalar(math.nan, sig)
+    # the float nearest 1/3 minus QI(1/3) rounds to 0.0 in complex arithmetic
+    assert Multivector.scalar(QI(Fraction(1, 3)), sig) == Multivector.scalar(1 / 3, sig)
+    assert Multivector.scalar(QI(Fraction(1, 3)), sig) != Multivector.scalar(Fraction(1, 3) + Fraction(1, 10**30), sig)
+
+
+# -- the public constructors check what they are given -------------------------
+
+def test_public_constructor_checks_its_input():
+    for bad in (Signature(-1, 2), Signature(2, -1), Signature(40, 25), (65, 0)):
+        for _ in range(3):  # every call, not only the first
+            with pytest.raises(ValueError):
+                Multivector(bad, {})
+            with pytest.raises(ValueError):
+                Multivector.scalar(1, bad)
+            with pytest.raises(ValueError):
+                parse_mv("e1", bad)
+    sig = Signature(2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            Multivector(sig, {0b1000: 1})
+        with pytest.raises(ValueError, match="outside"):
+            Multivector(sig, {0b1000: 0})
+    assert Multivector(Signature(64, 0), {1 << 63: 1}).terms == {1 << 63: 1}
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Multivector.basis_vector(4, sig)
+        with pytest.raises(ValueError):
+            Multivector.blade((1, 1), sig)
+        with pytest.raises(ValueError):
+            Multivector.vector([1, 2, 3, 4], sig)
+    listed = Multivector([2, 1], {0b111: 3})
+    assert listed.signature == sig and type(listed.signature) is Signature
+    assert listed == Multivector(sig, {0b111: 3})
+    assert Multivector.vector([1, 2, 3], [2, 1]) == Multivector(sig, {1: 1, 2: 2, 4: 3})
 
 
 # -- QI among the other numbers: equal values hash alike -----------------------

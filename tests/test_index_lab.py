@@ -167,6 +167,12 @@ class TestHodgeSupertraces:
         fine = sphere2_hodge_model(60).supertrace(t)
         assert abs(coarse - fine) <= sphere2_tail_bound(t, 12)
 
+    def test_tail_bound_holds_from_t_one_tenth(self):
+        assert sphere2_tail_bound(0.1, 40) < 1e-60
+        for t in (0.099, 0.01, 1e-9):
+            with pytest.raises(ValueError, match="t ≥ 0.1"):
+                sphere2_tail_bound(t, 40)
+
     def test_lmax_precondition(self):
         with pytest.raises(ValueError):
             sphere2_hodge_model(0)
