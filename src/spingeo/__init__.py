@@ -3,43 +3,43 @@
 Exact Clifford algebra arithmetic and classification, spin groups and
 spinor representations, Chern-Weil characteristic classes, Čech Z₂
 obstruction theory, and spectral index-theorem checks.
+
+The names below are loaded from their home module on first use (PEP 562),
+so ``import spingeo`` imports no layer and each CLI subcommand pays only
+for the modules it runs.
 """
 
-from .clifford import (
-    Multivector,
-    QI,
-    Signature,
-    blade_mul,
-    format_mv,
-    parse_mv,
-    supercommutator,
-    volume_element,
-)
-from .classification import (
-    AlgebraType,
-    classify_complex,
-    classify_real,
-    even_subalgebra_complex,
-    even_subalgebra_type,
-    table1,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraType",
-    "Multivector",
-    "QI",
-    "Signature",
-    "blade_mul",
-    "classify_complex",
-    "classify_real",
-    "even_subalgebra_complex",
-    "even_subalgebra_type",
-    "format_mv",
-    "parse_mv",
-    "supercommutator",
-    "table1",
-    "volume_element",
-    "__version__",
-]
+_HOME = {  # public name -> the module that defines it
+    "AlgebraType": "classification",
+    "Multivector": "clifford",
+    "QI": "clifford",
+    "Signature": "clifford",
+    "blade_mul": "clifford",
+    "classify_complex": "classification",
+    "classify_real": "classification",
+    "even_subalgebra_complex": "classification",
+    "even_subalgebra_type": "classification",
+    "format_mv": "clifford",
+    "parse_mv": "clifford",
+    "supercommutator": "clifford",
+    "table1": "classification",
+    "volume_element": "clifford",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -11,34 +11,36 @@ enumeration of spin structures, certified as the torsor under H¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
+
+from .records import FrozenRecord, Record
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Nerve:
-    """Patch count plus sorted simplex tuples, downward closed."""
+class Nerve(FrozenRecord):
+    """Patch count plus sorted simplex tuples, downward closed.
 
-    patches: int
-    simplices: tuple[tuple[int, ...], ...]
+    ``_by_dim``, derived and so not a field, groups the sorted k-simplices by k (vertices: the patches).
+    """
 
-    def __post_init__(self):
-        if not _is_int(self.patches) or self.patches < 0:
-            raise ValueError(f"patches must be an integer >= 0, not {self.patches!r}")
+    _fields = ("patches", "simplices")
+    __slots__ = (*_fields, "_by_dim")
+
+    def __init__(self, patches: int, simplices: tuple[tuple[int, ...], ...]):
+        if not _is_int(patches) or patches < 0:
+            raise ValueError(f"patches must be an integer >= 0, not {patches!r}")
         seen = set()
-        for s in self.simplices:
+        for s in simplices:
             if not all(_is_int(v) for v in s):
                 raise ValueError(f"simplex {s} must have integer vertices")
             if not s:
                 raise ValueError("the empty simplex () is not a simplex of a nerve")
             if tuple(sorted(s)) != s or len(set(s)) != len(s):
                 raise ValueError(f"simplex {s} must be sorted and duplicate-free")
-            if s[0] < 0 or s[-1] >= self.patches:
+            if s[0] < 0 or s[-1] >= patches:
                 raise ValueError(f"simplex {s} outside patch range")
             seen.add(s)
         for s in seen:
@@ -46,14 +48,11 @@ class Nerve:
                 for face in combinations(s, len(s) - 1):
                     if len(face) > 1 and face not in seen:
                         raise ValueError(f"nerve not downward closed at {s}: missing {face}")
-
-    @cached_property
-    def _by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        """The sorted k-simplices for each k, grouped once; the vertices are the patches."""
-        groups = {0: [(i,) for i in range(self.patches)]}
-        for s in sorted(s for s in self.simplices if len(s) > 1):
+        super().__init__(patches, simplices)
+        groups = {0: [(i,) for i in range(patches)]}
+        for s in sorted(s for s in simplices if len(s) > 1):
             groups.setdefault(len(s) - 1, []).append(s)
-        return groups
+        object.__setattr__(self, "_by_dim", groups)
 
     def simplices_of_dim(self, k: int) -> list[tuple[int, ...]]:
         """All k-simplices ((k+1)-fold intersections), vertices included for k=0."""
@@ -223,11 +222,10 @@ def cohomology_dim(nerve: Nerve, k: int) -> int:
 
 # -- Stiefel-Whitney classes ----------------------------------------------------
 
-@dataclass
-class CohomologyClass:
-    representative: Cochain
-    trivial: bool
-    witness: Cochain | None = None  # s with δs = representative when trivial
+class CohomologyClass(Record):
+    """A cocycle, whether its class is trivial, and then a witness s with δs = representative (else None)."""
+
+    __slots__ = _fields = ("representative", "trivial", "witness")
 
 
 def w1(transitions: Cochain) -> CohomologyClass:
@@ -243,17 +241,14 @@ def w1(transitions: Cochain) -> CohomologyClass:
         raise ValueError("transition signs do not form a cocycle")
     sol = gf2_solve(coboundary_matrix(nerve, 0), transitions.to_vector(), nerve.patches)
     if sol is None:
-        return CohomologyClass(transitions, False)
+        return CohomologyClass(transitions, False, None)
     return CohomologyClass(transitions, True, Cochain.from_vector(nerve, 0, sol))
 
 
-@dataclass
-class SpinStructureReport:
-    epsilon: Cochain
-    w2_trivial: bool
-    count: int
-    structures: list[Cochain] = field(default_factory=list)
-    torsor_verified: bool = False
+class SpinStructureReport(Record):
+    """ε, whether w₂ vanishes, and the spin structures with their count and torsor certificate."""
+
+    __slots__ = _fields = ("epsilon", "w2_trivial", "count", "structures", "torsor_verified")
 
 
 def w2_cocycle(lifts: Cochain) -> Cochain:
@@ -286,7 +281,7 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     rows = pins + coboundary_matrix(nerve, 1)  # c = 0 on each forest edge, then δ₁c = ε
     particular = gf2_solve(rows, epsilon.vector << len(pins), len(edges))
     if particular is None:
-        return SpinStructureReport(epsilon, False, 0)
+        return SpinStructureReport(epsilon, False, 0, [], False)
     vectors = [particular]
     for z in gf2_nullspace(rows, len(edges)):
         vectors += [v ^ z for v in vectors]

@@ -21,12 +21,12 @@ Complex coefficients give complex values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, pi as _PI
 
 from .clifford import QI, _is_sympy, _sign_mask
 from .pfaffian import pfaffian
+from .records import Record
 
 
 # -- scalar series ------------------------------------------------------------
@@ -557,14 +557,13 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
 
 # -- curvature models ----------------------------------------------------------
 
-@dataclass
-class CurvatureModel:
-    """Constant-coefficient curvature in a global orthonormal coframe."""
+class CurvatureModel(Record):
+    """Constant-coefficient curvature F (n × n) in a global orthonormal coframe.
 
-    name: str
-    n: int
-    F: FormMatrix
-    volume: object  # exact total volume: a PiLaurent, or a sympy expression from a model file
+    The volume is exact: a PiLaurent, or a sympy expression from a model file.
+    """
+
+    __slots__ = _fields = ("name", "n", "F", "volume")
 
 
 def curvature_model(name: str, r=1) -> CurvatureModel:

@@ -11,24 +11,22 @@ product of {R, C, H, M_k} factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 _BASE_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-@dataclass(frozen=True)
-class AlgebraType:
-    """Isomorphism type M_size(base) or M_size(base) ⊕ M_size(base)."""
+class AlgebraType(FrozenRecord):
+    """Isomorphism type M_size(base) or M_size(base) ⊕ M_size(base), base "R", "C" or "H"."""
 
-    base: str  # "R", "C" or "H"
-    size: int = 1
-    doubled: bool = False
+    __slots__ = _fields = ("base", "size", "doubled")
 
-    def __post_init__(self):
-        if self.base not in _BASE_DIM:
-            raise ValueError(f"base must be R, C or H, got {self.base!r}")
-        if self.size < 1:
+    def __init__(self, base: str, size: int = 1, doubled: bool = False):
+        if base not in _BASE_DIM:
+            raise ValueError(f"base must be R, C or H, got {base!r}")
+        if size < 1:
             raise ValueError("matrix size must be positive")
+        super().__init__(base, size, doubled)
 
     @property
     def real_dim(self) -> int:

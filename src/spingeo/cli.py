@@ -7,7 +7,9 @@ check passed its contract, 1 means a check failed, and 2 means a usage,
 file or input error (argparse reports its own usage errors with status 2).
 
 Each subcommand imports the layer it runs when it runs, so start-up costs
-only what that subcommand uses: ``classify`` loads neither numpy nor sympy.
+only what that subcommand uses: ``import spingeo`` loads no layer,
+``classify``, ``cech`` and ``index`` load neither ``spingeo.clifford`` nor
+``dataclasses``, and only ``spinrep`` and ``selftest`` load numpy.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     repeated generators.
     """
     sig = Signature(*sig)
-    limit = (1 << sig.n) - 1 if sig.n < 64 else ~0
+    limit = (1 << sig.n) - 1
     if a & ~limit or b & ~limit:
         raise ValueError(f"blade uses generators beyond Cl({sig.p},{sig.q})")
     odd = (a & _sign_mask(b, (1 << sig.p) - 1, sig.n)).bit_count() & 1
@@ -299,7 +299,7 @@ class Multivector:
     def __init__(self, signature: Signature, terms: dict[int, Coefficient] | None = None):
         sig = _validate_signature(signature)
         terms = terms or {}
-        limit = (1 << sig.n) - 1 if sig.n < 64 else ~0
+        limit = (1 << sig.n) - 1
         for blade in terms:
             if blade & ~limit:
                 raise ValueError(f"blade {blade:b} outside Cl({sig.p},{sig.q})")

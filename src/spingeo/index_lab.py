@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+
+from .records import Record
 
 
 # -- spectral models ----------------------------------------------------------
@@ -43,18 +44,17 @@ def _check_t_grid(t_grid) -> list[float]:
     return t_grid
 
 
-@dataclass
-class SpectralModel:
+class SpectralModel(Record):
     """Explicitly diagonalized D²: (eigenvalue, multiplicity, chirality) rows."""
 
-    name: str
-    entries: list[tuple[float, int, int]]
+    __slots__ = _fields = ("name", "entries")
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries)
-        for lam, mult, chi in self.entries:
+    def __init__(self, name: str, entries: list[tuple[float, int, int]]):
+        entries = sorted(entries)
+        for lam, mult, chi in entries:
             if not 0 <= lam < math.inf or mult < 1 or chi not in (1, -1):
                 raise ValueError(f"invalid spectral entry {(lam, mult, chi)!r}")
+        super().__init__(name, entries)
 
     def supertrace(self, t: float) -> float:
         """str e^{-tD²}, summed smallest eigenvalue first for reproducibility."""

@@ -73,6 +73,17 @@ class TestNerve:
         twin = Nerve(3, nerve.simplices)
         assert nerve == twin and hash(nerve) == hash(twin)
 
+    def test_repr_equality_and_immutability(self):
+        nerve = circle_nerve()
+        assert repr(nerve) == "Nerve(patches=3, simplices=((0, 1), (0, 2), (1, 2)))"
+        assert nerve == Nerve(3, ((0, 1), (0, 2), (1, 2)))
+        assert nerve != Nerve(4, nerve.simplices) and nerve != Nerve(3, ((0, 1), (1, 2)))
+        assert nerve != (3, nerve.simplices)
+        for name, value in [("patches", 4), ("simplices", ()), ("_by_dim", {})]:
+            with pytest.raises(AttributeError):
+                setattr(nerve, name, value)
+        assert nerve.simplices_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
+
     def test_rejects_empty_simplex(self):
         with pytest.raises(ValueError, match=r"empty simplex \(\)"):
             make_nerve(2, [()])

@@ -601,6 +601,14 @@ class TestGenusEval:
 
 
 class TestCurvatureModels:
+    def test_record_equality_repr_and_field_count(self):
+        model = curvature_model("torus2")
+        assert model == CurvatureModel("torus2", 2, model.F, model.volume)
+        assert model != CurvatureModel("other", 2, model.F, model.volume) and model != curvature_model("sphere2")
+        assert repr(model).startswith("CurvatureModel(name='torus2', n=2, F=")
+        with pytest.raises(TypeError, match="takes 4 fields, got 3"):
+            CurvatureModel("m", 2, model.F)
+
     def test_sphere2_curvature_entry(self):
         model = curvature_model("sphere2", r=sympy.Rational(1, 2))
         assert model.F.entries[0][1].coefficient((1, 2)) == 4

@@ -113,3 +113,17 @@ class TestAlgebraType:
 
     def test_to_dict(self):
         assert AlgebraType("C", 4).to_dict() == {"base": "C", "size": 4, "doubled": False}
+
+    def test_repr_equality_and_hash_are_by_value(self):
+        t = AlgebraType("H", 2, doubled=True)
+        assert repr(t) == "AlgebraType(base='H', size=2, doubled=True)"
+        assert t == AlgebraType("H", 2, True) and hash(t) == hash(AlgebraType("H", 2, True))
+        assert t != AlgebraType("H", 2) and t != ("H", 2, True)
+        assert len({t, AlgebraType("H", 2, True), AlgebraType("R")}) == 2
+
+    def test_is_immutable(self):
+        t = AlgebraType("R")
+        for name, value in [("base", "C"), ("size", 2), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        assert t == AlgebraType("R", 1, False)

@@ -48,6 +48,23 @@ class TestBladeMul:
             with pytest.raises(ValueError, match="beyond"):
                 blade_mul(a, b, sig)
 
+    @pytest.mark.parametrize("blade", [-1, 1 << 64, 1 << 70])
+    def test_range_check_holds_at_n64(self, blade):
+        sig = Signature(64, 0)
+        with pytest.raises(ValueError, match="beyond"):
+            blade_mul(blade, 1, sig)
+        with pytest.raises(ValueError, match="beyond"):
+            blade_mul(1, blade, sig)
+        with pytest.raises(ValueError, match="outside"):
+            Multivector(sig, {blade: 1})
+
+    def test_top_generator_at_n64_is_in_range(self):
+        sig = Signature(64, 0)
+        e64 = Multivector(sig, {1 << 63: 2})
+        assert e64.terms == {1 << 63: 2}
+        assert blade_mul(1 << 63, 1 << 63, sig) == (-1, 0)
+        assert blade_mul(1, 1 << 63, sig) == (1, 1 | 1 << 63)
+
     def test_sign_mask_agrees_with_pair_count_exhaustively(self):
         # every pair of blades and every p for n <= 6, against the sign
         # counted pair by pair: transpositions (i in a, j in b, i > j) and

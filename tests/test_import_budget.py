@@ -1,7 +1,9 @@
-"""Each CLI entry point loads only the heavy dependencies it uses.
+"""Each CLI entry point loads only the heavy dependencies and layers it uses.
 
-Every case runs in a fresh interpreter, so modules imported by other tests
-cannot hide an eager import.
+Watched are numpy, scipy and sympy, the Clifford kernel ``spingeo.clifford``
+(only ``genus`` and ``spinrep`` build multivectors) and ``dataclasses``, which
+brings ``inspect`` with it.  Every case runs in a fresh interpreter, so
+modules imported by other tests cannot hide an eager import.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("numpy", "scipy", "sympy")
+WATCHED = ("numpy", "scipy", "sympy", "spingeo.clifford", "dataclasses")
 
 PROBE = """
 import contextlib, io, json, sys
@@ -25,15 +27,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"code": code, "loaded": sorted(m for m in %r if m in sys.modules)}))
-""" % (HEAVY,)
+""" % (WATCHED,)
+
+
+def run_fresh(code, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def loaded_after(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_fresh(PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["code"] == 0, proc.stderr
@@ -50,18 +56,25 @@ def loaded_after(argv):
         (["index", "--model", "torus_dirac", "--delta", "0.5,0.5"], set()),
         (["index", "--model", "dlambda"], set()),
         (["index", "--model", "torus2"], set()),
-        (["genus", "--name", "ahat", "--model", "sphere4"], set()),
-        (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], set()),
-        (["spinrep", "4", "--check", "all"], {"numpy"}),
-        (["selftest"], {"numpy", "sympy"}),
+        (["genus", "--name", "ahat", "--model", "sphere4"], {"spingeo.clifford"}),
+        (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], {"spingeo.clifford"}),
+        (["spinrep", "4", "--check", "all"], {"numpy", "spingeo.clifford"}),
+        # acceptance.CheckResult stays a dataclass: selftest loads numpy and sympy anyway
+        (["selftest"], {"numpy", "sympy", "spingeo.clifford", "dataclasses"}),
     ],
 )
 def test_heavy_imports_per_subcommand(argv, expected):
     assert loaded_after(argv) == expected
 
 
+def test_import_spingeo_loads_no_layer():
+    proc = run_fresh("import json, sys, spingeo; print(json.dumps(sorted(m for m in sys.modules if 'spingeo' in m)))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["spingeo"]
+
+
 def test_genus_model_file_loads_sympy(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"n": 2, "entries": [[1, 2, [[[1, 2], "1/4"]]], [2, 1, [[[1, 2], "-1/4"]]]], "volume": "16*pi"}))
-    assert loaded_after(["genus", "--model-file", str(path)]) == {"sympy"}
+    assert loaded_after(["genus", "--model-file", str(path)]) == {"sympy", "spingeo.clifford"}
 

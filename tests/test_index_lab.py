@@ -36,6 +36,14 @@ class TestSpectralModel:
             with pytest.raises(ValueError, match="invalid spectral entry"):
                 SpectralModel("bad", [(0.0, 1, 1), (lam, 1, -1)])
 
+    def test_rows_are_sorted_and_compared_by_value(self):
+        model = SpectralModel("m", [(3.0, 1, -1), (0.0, 2, 1)])
+        assert model.entries == [(0.0, 2, 1), (3.0, 1, -1)]
+        assert repr(model) == "SpectralModel(name='m', entries=[(0.0, 2, 1), (3.0, 1, -1)])"
+        assert model == SpectralModel("m", [(0.0, 2, 1), (3.0, 1, -1)])
+        assert model != SpectralModel("n", model.entries) and model != SpectralModel("m", [(0.0, 2, 1)])
+        assert dlambda_model(0.5, 3) == dlambda_model(0.5, 3) != dlambda_model(0.25, 3)
+
     def test_supertrace_needs_positive_time(self):
         model = SpectralModel("m", [(0.0, 1, 1)])
         for t in (0.0, -1.0, math.nan, math.inf):
