@@ -9,22 +9,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import sympy
 
 from . import cech, chern_weil, classification, index_lab, spinrep
 from .clifford import Multivector, Signature
+from .records import Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
 
 
 # 1 ---------------------------------------------------------------------------
@@ -204,27 +200,18 @@ def criterion_genus_expansions() -> CheckResult:
     pont = chern_weil.genus_expand("ahat")
     if pont["p1"] != Fraction(-1, 24) or pont["p1^2"] != Fraction(7, 5760) or pont["p2"] != Fraction(-1, 1440):
         return CheckResult("genus expansions", False, f"ahat pontryagin form {pont}")
-    # p1 == e2(F/2π) = (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji) on a generic
-    # antisymmetric FormMatrix: principal minors, while genus_eval takes traces
-    m = 4
+    # p1 == e2(F/2π) = (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji): principal minors, while genus_eval
+    # takes traces.  The six quadratic monomials in these three entries are independent 4-forms,
+    # so one exact evaluation decides the identity as a polynomial in the entries.
+    m = 8
     F = chern_weil.FormMatrix.zero(3, m)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            poly = chern_weil.FormPoly(m)
-            for mu, nu in combinations(range(1, m + 1), 2):
-                poly = poly + chern_weil.FormPoly.monomial(
-                    (mu, nu), m, sympy.Symbol(f"a_{i}{j}_{mu}{nu}")
-                )
-            F.entries[i][j] = poly
-            F.entries[j][i] = -poly
+    for (i, j), pairs in {(0, 1): ((1, 2), (3, 4)), (0, 2): ((5, 6), (7, 8)), (1, 2): ((1, 5), (2, 6))}.items():
+        poly = sum((chern_weil.FormPoly.monomial(p, m) for p in pairs), chern_weil.FormPoly(m))
+        F.entries[i][j], F.entries[j][i] = poly, -poly
     p1 = chern_weil.genus_eval("pontryagin", F).degree_part(4)
     e = F.entries
-    minors = sum(
-        (e[i][i] * e[j][j] - e[i][j] * e[j][i] for i, j in combinations(range(3), 2)),
-        chern_weil.FormPoly(m),
-    )
-    rhs = minors * (sympy.Rational(1, 4) / sympy.pi**2)
-    if not (p1 - rhs).expand().is_zero():
+    minors = sum((e[i][i] * e[j][j] - e[i][j] * e[j][i] for i, j in combinations(range(3), 2)), chern_weil.FormPoly(m))
+    if p1 != minors * chern_weil.PiLaurent({-2: Fraction(1, 4)}):
         return CheckResult("genus expansions", False, "p1 != (1/4π²) Σ_{i<j} (F_ii∧F_jj − F_ij∧F_ji)")
     return CheckResult("genus expansions", True, "ahat/L/todd coefficients and symbolic p1 exact")
 

@@ -12,19 +12,19 @@ from the power sums ``tr X^k``, which generate the invariant polynomials
 (ibid., §16).
 
 The coefficients choose the arithmetic.  With rational curvature, as in the
-built-in models, every coefficient lies in Q(i)[π, π⁻¹] and is computed in
-:class:`PiLaurent`, without sympy.  sympy enters only with symbols: a model
-file (:func:`model_from_dict`) or symbolic coefficients passed in by the
-caller, which :class:`PiLaurent` hands over to sympy through ``_sympy_``.
-Complex coefficients give complex values.
+built-in models and every model file (:func:`model_from_dict` parses its
+numbers exactly), each coefficient lies in Q(i)[π, π⁻¹] and is computed in
+:class:`PiLaurent`, without sympy.  Symbolic coefficients passed in by a
+caller reach sympy through ``PiLaurent._sympy_``, the one place that imports
+it; complex coefficients give complex values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, pi as _PI
+from math import comb, factorial, pi as _PI, prod
 
-from .clifford import QI, _is_sympy, _sign_mask
+from .clifford import QI, _sign_mask
 from .pfaffian import pfaffian
 from .records import Record
 
@@ -285,8 +285,6 @@ PI = PiLaurent({1: 1})
 def _is_zero(c) -> bool:
     if isinstance(c, PiLaurent):
         return not c.terms
-    if _is_sympy(c):
-        return bool(c.expand() == 0)
     return c == 0
 
 
@@ -391,12 +389,6 @@ class FormPoly:
 
     def degree_part(self, d: int) -> "FormPoly":
         return FormPoly(self.m, {mask: c for mask, c in self.terms.items() if mask.bit_count() == d})
-
-    def expand(self) -> "FormPoly":
-        return FormPoly(
-            self.m,
-            {mask: (c.expand() if _is_sympy(c) else c) for mask, c in self.terms.items()},
-        )
 
     def is_zero(self) -> bool:
         return all(_is_zero(c) for c in self.terms.values())
@@ -558,10 +550,7 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
 # -- curvature models ----------------------------------------------------------
 
 class CurvatureModel(Record):
-    """Constant-coefficient curvature F (n × n) in a global orthonormal coframe.
-
-    The volume is exact: a PiLaurent, or a sympy expression from a model file.
-    """
+    """Constant-coefficient curvature F (n × n) in a global orthonormal coframe, and its exact volume."""
 
     __slots__ = _fields = ("name", "n", "F", "volume")
 
@@ -627,35 +616,56 @@ def integrate_top(phi: FormPoly, model: CurvatureModel) -> object:
     """
     if phi.m != model.F.m:
         raise ValueError("form was built over a different coframe")
-    value = phi.top_coefficient() * model.volume
-    if _is_sympy(value):
-        return value.simplify()
-    return value
+    return phi.top_coefficient() * model.volume
 
 
 def model_from_dict(data: dict) -> CurvatureModel:
     """Load a curvature model from {n, entries, volume} JSON data.
 
     ``entries`` is a list of [i, j, [[indices, coeff], ...]] with matrix
-    positions i, j and generator indices in 1..n, and coefficients (like the
-    ``volume``) that sympy, which this imports, parses to a finite expression.
+    positions i, j and generator indices in 1..n.  A coefficient, like the
+    ``volume``, is an exact number of Q(i)[π, π⁻¹]: a JSON number or a string
+    of int and decimal literals, ``pi`` and ``I`` under ``+ - * /``, parentheses
+    and integer powers (|k| ≤ 100), dividing only by one term c·π^k.
     Anything else raises ValueError naming the value at fault.
     """
-    import sympy
+    import ast
 
     def position(x, what: str) -> int:
         if not (isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n):
             raise ValueError(f"{what} must be an integer in 1..{n}, not {x!r}")
         return x
 
-    def expression(text, what: str):
-        try:
-            value = sympy.sympify(text)
-        except (AttributeError, TypeError, ValueError):  # sympify evaluates the text: "x.y" raises AttributeError
-            value = None
-        if not isinstance(value, sympy.Expr) or value.has(sympy.nan, sympy.zoo, sympy.oo, -sympy.oo):
-            raise ValueError(f"{what} must be a finite expression, not {text!r}")
-        return value
+    def divide(a: PiLaurent, b: PiLaurent) -> PiLaurent:
+        if len(b.terms) != 1:
+            raise ValueError("division by a sum or by zero")
+        return a * PiLaurent._from({-k: 1 / c for k, c in b.terms.items()})
+
+    def power(x: PiLaurent, k: PiLaurent) -> PiLaurent:
+        c = k.terms.get(0, QI())
+        if k.terms.keys() - {0} or c.im or c.re.denominator != 1 or abs(c.re) > 100:
+            raise ValueError("not an integer power")
+        out = prod([x] * abs(c.re.numerator), start=PiLaurent({0: 1}))
+        return out if c.re >= 0 else divide(PiLaurent({0: 1}), out)
+
+    ops = {ast.Add: PiLaurent.__add__, ast.Sub: PiLaurent.__sub__, ast.Mult: PiLaurent.__mul__, ast.Div: divide,
+           ast.Pow: power, ast.USub: PiLaurent.__neg__, ast.UAdd: lambda x: x}
+
+    def number(node) -> PiLaurent:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return PiLaurent({0: Fraction(repr(node.value))})  # inf and nan raise here
+        if isinstance(node, ast.Name) and node.id in ("pi", "I"):
+            return PI if node.id == "pi" else PiLaurent({0: QI(0, 1)})
+        if isinstance(node, (ast.UnaryOp, ast.BinOp)) and type(node.op) in ops:
+            operands = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+            return ops[type(node.op)](*map(number, operands))
+        raise ValueError("not an exact number")
+
+    def expression(value, what: str) -> PiLaurent:
+        try:  # ast.parse takes only strings: None, true and lists raise TypeError
+            return number(ast.parse(repr(value) if type(value) in (int, float) else value, mode="eval").body)
+        except (SyntaxError, TypeError, ValueError, RecursionError):
+            raise ValueError(f"{what} must be a finite expression, not {value!r}") from None
 
     if not isinstance(data, dict):
         raise ValueError(f"a model file holds a JSON object, not {type(data).__name__}")

@@ -8,14 +8,13 @@ file or input error (argparse reports its own usage errors with status 2).
 
 Each subcommand imports the layer it runs when it runs, so start-up costs
 only what that subcommand uses: ``import spingeo`` loads no layer,
-``classify``, ``cech`` and ``index`` load neither ``spingeo.clifford`` nor
-``dataclasses``, and only ``spinrep`` and ``selftest`` load numpy.
+``classify``, ``cech`` and ``index`` skip ``spingeo.clifford``, only
+``spinrep`` and ``selftest`` load numpy, and none loads sympy or dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -31,11 +30,21 @@ def _error(message: str) -> int:
 
 def _emit(payload: dict, fmt: str, human_lines) -> None:
     if fmt == "json":
+        import json
+
         payload = {"schema": SCHEMA, "version": __version__, **payload}
         print(json.dumps(payload, sort_keys=True, default=str))
     else:
         for line in human_lines:
             print(line)
+
+
+def _load_json(path: str):
+    """The JSON document in the file at ``path`` (``json`` loads only for files and JSON output)."""
+    import json
+
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _cmd_classify(args) -> int:
@@ -102,8 +111,7 @@ def _load_model(args):
     from . import chern_weil
 
     if args.model_file:
-        with open(args.model_file) as fh:
-            return chern_weil.model_from_dict(json.load(fh))
+        return chern_weil.model_from_dict(_load_json(args.model_file))
     if args.model == "product":
         sphere = chern_weil.curvature_model("sphere2", _radius(args))
         return chern_weil.product_model(sphere, sphere)
@@ -138,10 +146,6 @@ def _cmd_genus(args) -> int:
     }
     if not args.model_file:
         payload["radius"] = _radius(args)
-    else:  # a model file's integral is a sympy expression
-        import sympy
-
-        total = sympy.nsimplify(total)
     _emit(payload, args.format, [f"{args.name} on {model.name}: integral = {total}"])
     return 0
 
@@ -153,8 +157,7 @@ def _cmd_cech(args) -> int:
         nerve = cech.BUILTIN_NERVES[args.nerve]()
     else:
         try:
-            with open(args.nerve) as fh:
-                nerve = cech.nerve_from_dict(json.load(fh))
+            nerve = cech.nerve_from_dict(_load_json(args.nerve))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             return _error(f"cannot load nerve: {exc}")
     dims = {f"H{k}": cech.cohomology_dim(nerve, k) for k in range(3)}
@@ -172,8 +175,7 @@ def _cmd_cech(args) -> int:
         try:
             values = {}
             if args.lifts:
-                with open(args.lifts) as fh:
-                    values = {tuple(sorted(s)): v for s, v in json.load(fh)}
+                values = {tuple(sorted(s)): v for s, v in _load_json(args.lifts)}
             lifts = cech.Cochain(nerve, 1, values)
         except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load lifts: {exc}")

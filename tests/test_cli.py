@@ -102,6 +102,18 @@ class TestGenus:
         assert code == 0 and data["integral"] == "2"
         assert "radius" not in data
 
+    def test_decimal_coefficient_stays_exact(self, capsys, tmp_path):
+        # a decimal coefficient is the rational it spells, in the JSON fields as on the human line
+        entries = [[1, 2, [[[1, 2], "13/3"]]], [2, 1, [[[1, 2], "-13/3"]]],
+                   [3, 4, [[[3, 4], "0.25"]]], [4, 3, [[[3, 4], "-1/4"]]]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"name": "s2xs2", "n": 4, "entries": entries, "volume": "8*pi**2/3"}))
+        code, out = run_cli(capsys, ["genus", "--model-file", str(path), "--format", "json"])
+        data = json.loads(out)
+        assert code == 0 and data["integral"] == "13/18" and data["top_coefficient"] == "13/(48*pi**2)"
+        code, out = run_cli(capsys, ["genus", "--model-file", str(path)])
+        assert code == 0 and out == "euler on s2xs2: integral = 13/18\n"
+
     def test_missing_model_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, ["genus", "--model-file", "/nonexistent/model.json"])
         assert code == 2
@@ -158,6 +170,13 @@ class TestGenus:
             ({"n": 2, "entries": [[1, 2, [[[1, 2], None]]]]}, "a coefficient must be a finite expression, not None"),
             ({"n": 2, "entries": [[1, 2, [[[1, 2], "1/0"]]]]}, "a coefficient must be a finite expression, not '1/0'"),
             ({"n": 2, "entries": [], "volume": "((("}, "volume must be a finite expression, not '((('"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], "x"]]]]}, "a coefficient must be a finite expression, not 'x'"),
+            ({"n": 2, "entries": [], "volume": "sqrt(2)"}, "volume must be a finite expression, not 'sqrt(2)'"),
+            ({"n": 2, "entries": [], "volume": "1/(1+pi)"}, "volume must be a finite expression, not '1/(1+pi)'"),
+            ({"n": 2, "entries": [], "volume": "2**0.5"}, "volume must be a finite expression, not '2**0.5'"),
+            ({"n": 2, "entries": [], "volume": "1e400"}, "volume must be a finite expression, not '1e400'"),
+            ({"n": 2, "entries": [], "volume": "2**101"}, "volume must be a finite expression, not '2**101'"),
+            ({"n": 2, "entries": [[1, 2, [[[1, 2], True]]]]}, "a coefficient must be a finite expression, not True"),
         ],
     )
     def test_bad_model_file_exits_2(self, capsys, tmp_path, content, message):

@@ -2,8 +2,9 @@
 
 Watched are numpy, scipy and sympy, the Clifford kernel ``spingeo.clifford``
 (only ``genus`` and ``spinrep`` build multivectors) and ``dataclasses``, which
-brings ``inspect`` with it.  Every case runs in a fresh interpreter, so
-modules imported by other tests cannot hide an eager import.
+brings ``inspect`` with it; no subcommand loads sympy or ``dataclasses``.
+Every case runs in a fresh interpreter, so modules imported by other tests
+cannot hide an eager import.
 """
 
 import json
@@ -59,8 +60,7 @@ def loaded_after(argv):
         (["genus", "--name", "ahat", "--model", "sphere4"], {"spingeo.clifford"}),
         (["genus", "--name", "euler", "--model", "sphere2", "--radius", "1/2"], {"spingeo.clifford"}),
         (["spinrep", "4", "--check", "all"], {"numpy", "spingeo.clifford"}),
-        # acceptance.CheckResult stays a dataclass: selftest loads numpy and sympy anyway
-        (["selftest"], {"numpy", "sympy", "spingeo.clifford", "dataclasses"}),
+        (["selftest"], {"numpy", "spingeo.clifford"}),
     ],
 )
 def test_heavy_imports_per_subcommand(argv, expected):
@@ -73,8 +73,9 @@ def test_import_spingeo_loads_no_layer():
     assert json.loads(proc.stdout) == ["spingeo"]
 
 
-def test_genus_model_file_loads_sympy(tmp_path):
+def test_genus_model_file_loads_only_the_clifford_kernel(tmp_path):
+    # model files are parsed exactly into PiLaurent, without sympy
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"n": 2, "entries": [[1, 2, [[[1, 2], "1/4"]]], [2, 1, [[[1, 2], "-1/4"]]]], "volume": "16*pi"}))
-    assert loaded_after(["genus", "--model-file", str(path)]) == {"sympy", "spingeo.clifford"}
+    assert loaded_after(["genus", "--model-file", str(path)]) == {"spingeo.clifford"}
 
