@@ -9,7 +9,8 @@ as ``Pf(F/2π)``, always with ``X = (i/2π) F`` applied internally so callers
 pass the raw (real, antisymmetric) curvature matrix ``F`` (Milnor-Stasheff,
 *Characteristic Classes*, App. C).  All but the Euler class are computed
 from the power sums ``tr X^k``, which generate the invariant polynomials
-(ibid., §16).
+(ibid., §16).  Each series genus f is written once, as the closed form of
+log f in the Bernoulli numbers, since det f(X) = exp(Σ c_k tr X^k).
 
 The coefficients choose the arithmetic.  With rational curvature, as in the
 built-in models and every model file (:func:`model_from_dict` parses its
@@ -22,6 +23,7 @@ it; complex coefficients give complex values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, pi as _PI, prod
 
 from .clifford import QI, _sign_mask
@@ -31,43 +33,43 @@ from .records import Record
 
 # -- scalar series ------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
+@lru_cache
+def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
+    """(B_0, …, B_n) (B_1 = -1/2) from the defining recurrence Σ_{j≤m} C(m+1, j) B_j = 0."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        values.append(-sum(comb(m + 1, j) * values[j] for j in range(m) if values[j]) / (m + 1))
+    return tuple(values)
+
+
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k (B_1 = -1/2) from the defining recurrence."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    values = [Fraction(1)]
-    for m in range(1, k + 1):
-        acc = sum(Fraction(comb(m + 1, j)) * values[j] for j in range(m))
-        values.append(-acc / (m + 1))
-    return values[k]
+    return _bernoulli_numbers(k)[k]
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
+# Each multiplicative genus f as the closed form of log f = Σ c_k x^k: name ->
+# (exponent weight, c_k from k and b), with b[k] = B_k/(k·k!) for even k ≥ 2, else 0,
+# so log((x/2)/sinh(x/2)) = -Σ b[k] x^k (Hirzebruch, *Topological Methods*, ch. I;
+# Milnor-Stasheff, App. B).  Weight 1 is det f(X) (U(n)), ½ is det^{1/2} f(X) (O(n)).
+_LOG_GENERA = {
+    "chern": (1, lambda k, b: Fraction((-1) ** (k + 1), k)),  # log(1 + x)
+    "todd": (1, lambda k, b: Fraction(1, 2) if k == 1 else -b[k]),  # x/(1 - e^{-x}) = e^{x/2}·Â
+    "pontryagin": (Fraction(1, 2), lambda k, b: _ZERO if k % 2 else Fraction((-1) ** (k // 2 + 1), k // 2)),
+    "ahat": (Fraction(1, 2), lambda k, b: -b[k]),
+    "lgenus": (Fraction(1, 2), lambda k, b: 2**k * (2**k - 2) * b[k]),  # log cosh(x) + log(x/sinh(x))
+}
 
 
-def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
-    if a[0] != 1:
-        raise ValueError("series inversion needs constant term 1")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = Fraction(1)
-    for m in range(1, order + 1):
-        inv[m] = -sum(a[j] * inv[m - j] for j in range(1, m + 1))
-    return inv
-
-
-def _log_series(a: list[Fraction]) -> list[Fraction]:
-    """Coefficients c_k of log f for f = Σ a_k x^k with a_0 = 1, from f' = f · (log f)'."""
-    c = [Fraction(0)] * len(a)
-    for k in range(1, len(a)):
-        c[k] = a[k] - Fraction(sum(j * c[j] * a[k - j] for j in range(1, k)), k)
-    return c
+def _log_genus(name: str, order: int) -> tuple[Fraction | int, list[Fraction]]:
+    """(exponent weight, [c_0, …, c_order]) of log f for the named genus in ``_LOG_GENERA``."""
+    weight, coefficient = _LOG_GENERA[name]
+    b = [_ZERO] * 2 + [B / (k * factorial(k)) for k, B in enumerate(_bernoulli_numbers(order)[2:], 2)]
+    return weight, [_ZERO] + [coefficient(k, b) for k in range(1, order + 1)]
 
 
 def taylor_series(name: str, order: int = 10) -> list[Fraction]:
@@ -75,39 +77,20 @@ def taylor_series(name: str, order: int = 10) -> list[Fraction]:
 
     chern: 1 + x; todd: x/(1-e^{-x}); chern_char: e^x;
     lgenus: x/tanh(x); ahat: (x/2)/sinh(x/2); pontryagin: 1 + x^2.
+    chern_char is Σ x^k/k!; the others are exp of their logarithms in ``_LOG_GENERA``:
+    a_0 = 1 and k·a_k = Σ_{j=1..k} j·c_j·a_{k-j}.  A negative order is a ``ValueError``.
     """
-    N = order
-    if name == "chern":
-        out = [Fraction(0)] * (N + 1)
-        out[0] = Fraction(1)
-        if N >= 1:
-            out[1] = Fraction(1)
-        return out
-    if name == "pontryagin":
-        out = [Fraction(0)] * (N + 1)
-        out[0] = Fraction(1)
-        if N >= 2:
-            out[2] = Fraction(1)
-        return out
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, not {order}")
     if name == "chern_char":
-        return [Fraction(1, factorial(k)) for k in range(N + 1)]
-    if name == "todd":
-        # invert (1 - e^{-x})/x = sum (-1)^k x^k/(k+1)!
-        base = [Fraction((-1) ** k, factorial(k + 1)) for k in range(N + 1)]
-        return _series_inv(base, N)
-    if name == "lgenus":
-        cosh = [Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(N + 1)]
-        sinh_over_x = [
-            Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(N + 1)
-        ]
-        return _series_mul(cosh, _series_inv(sinh_over_x, N), N)
-    if name == "ahat":
-        base = [
-            Fraction(1, factorial(k + 1) * 2**k) if k % 2 == 0 else Fraction(0)
-            for k in range(N + 1)
-        ]
-        return _series_inv(base, N)
-    raise ValueError(f"unknown genus series {name!r}")
+        return [Fraction(1, factorial(k)) for k in range(order + 1)]
+    if name not in _LOG_GENERA:
+        raise ValueError(f"unknown genus series {name!r}")
+    _, c = _log_genus(name, order)
+    a = [Fraction(1)]
+    for k in range(1, order + 1):
+        a.append(sum((j * c[j] * a[k - j] for j in range(1, k + 1) if c[j]), _ZERO) / k)
+    return a
 
 
 def genus_expand(name: str) -> dict[str, Fraction]:
@@ -115,21 +98,17 @@ def genus_expand(name: str) -> dict[str, Fraction]:
 
     Returns the coefficients of 1, p1, p1^2 and p2 in Π f(x_j) where
     p1 = Σ x_j² and p2 = Σ_{j<k} x_j² x_k² (enough for 8-dimensional bases).
+    Only an even series f is a function of the x_j², so any other is a
+    ``ValueError``.
     """
     coeffs = taylor_series(name, 4)
+    if any(coeffs[1::2]):
+        raise ValueError(f"{name} is not an even series, so it has no expansion in Pontryagin classes")
     a2, a4 = coeffs[2], coeffs[4]
-    return {
-        "1": Fraction(1),
-        "p1": a2,
-        "p1^2": a4,
-        "p2": a2 * a2 - 2 * a4,
-    }
+    return {"1": Fraction(1), "p1": a2, "p1^2": a4, "p2": a2 * a2 - 2 * a4}
 
 
 # -- the exact scalar ring Q(i)[π, π⁻¹] -----------------------------------------
-
-_ZERO = Fraction(0)
-
 
 def _qi(re: Fraction, im: Fraction) -> QI:
     """QI(re, im) from two Fractions, without QI's conversion of each part."""
@@ -484,10 +463,6 @@ def form_pfaffian(A: FormMatrix) -> FormPoly:
     return FormPoly(A.m) + pfaffian(A.entries)  # an all-zero expansion is the int 0
 
 
-_UN_FAMILY = {"chern", "todd"}
-_ON_FAMILY = {"pontryagin", "lgenus", "ahat"}
-
-
 def _check_curvature(F: FormMatrix) -> None:
     """Raise ValueError unless every entry of F is a form of positive even degree."""
     for row in F.entries:
@@ -527,24 +502,24 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
     :class:`PiLaurent` constants, so F's coefficients choose the arithmetic.
 
     Every genus but the Euler class comes from the power sums p_k = tr X^k:
-    det f(X) = exp(Σ c_k p_k) where log f(x) = Σ c_k x^k, det^{1/2} f(X)
-    halves the exponent, and tr exp(X) = n + Σ p_k/k!.
+    det f(X) = exp(Σ c_k p_k) where log f(x) = Σ c_k x^k in closed form
+    (``_LOG_GENERA``), det^{1/2} f(X) halves the exponent, and
+    tr exp(X) = n + Σ p_k/k!.
     """
     _check_curvature(F)
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
         return form_pfaffian(F.scale(PiLaurent({-1: Fraction(1, 2)})))
-    if name not in _UN_FAMILY | _ON_FAMILY | {"chern_char"}:
+    if name != "chern_char" and name not in _LOG_GENERA:
         raise ValueError(f"unknown genus {name!r}")
-    if name in _ON_FAMILY and not F.is_antisymmetric():
+    if name in _LOG_GENERA and _LOG_GENERA[name][0] != 1 and not F.is_antisymmetric():
         raise ValueError(f"{name} needs an antisymmetric curvature")
     p = _power_sums(F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))})))
     if name == "chern_char":
         return sum((pk * Fraction(1, factorial(k)) for k, pk in enumerate(p, 1)), FormPoly.scalar(F.n, F.m))
-    c = _log_series(taylor_series(name, len(p)))
-    half = Fraction(1, 2) if name in _ON_FAMILY else 1
-    return _exp_nilpotent(sum((pk * (half * c[k]) for k, pk in enumerate(p, 1)), FormPoly(F.m)))
+    weight, c = _log_genus(name, len(p))
+    return _exp_nilpotent(sum((pk * (weight * c[k]) for k, pk in enumerate(p, 1)), FormPoly(F.m)))
 
 
 # -- curvature models ----------------------------------------------------------

@@ -50,7 +50,10 @@ def _load_json(path: str):
 def _cmd_classify(args) -> int:
     from . import classification
 
-    fields = {"p": args.p, "q": args.q} if args.complex is None else {"complex_n": args.complex}
+    if args.complex is not None and (args.p, args.q) != (None, None):
+        return _error("classify: --complex N takes no signature P Q")
+    p, q = args.p or 0, args.q or 0
+    fields = {"p": p, "q": q} if args.complex is None else {"complex_n": args.complex}
     if args.even:
         fields["even"] = True
     try:
@@ -59,8 +62,8 @@ def _cmd_classify(args) -> int:
             t = (classification.even_subalgebra_complex if args.even else classification.classify_complex)(n)
             name = f"Cl^{{c,0}}_{n}" if args.even else f"Cl^c_{n}"
         else:
-            t = (classification.even_subalgebra_type if args.even else classification.classify_real)(args.p, args.q)
-            name = f"Cl^0({args.p},{args.q})" if args.even else f"Cl({args.p},{args.q})"
+            t = (classification.even_subalgebra_type if args.even else classification.classify_real)(p, q)
+            name = f"Cl^0({p},{q})" if args.even else f"Cl({p},{q})"
     except ValueError as exc:
         return _error(f"classify: {exc}")
     _emit({"command": "classify", **fields, "result": t.to_dict()}, args.format, [f"{name} = {t}"])
@@ -276,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="isomorphism type of Cl(p,q) or Cl^c_n")
-    p.add_argument("p", type=int, nargs="?", default=0)
-    p.add_argument("q", type=int, nargs="?", default=0)
+    p.add_argument("p", type=int, nargs="?", help="default 0; not with --complex")
+    p.add_argument("q", type=int, nargs="?", help="default 0; not with --complex")
     p.add_argument("--complex", type=int, default=None, metavar="N", help="classify Cl^c_N instead of Cl(p,q)")
     p.add_argument("--even", action="store_true", help="classify the even subalgebra (also with --complex)")
     p.add_argument("--format", choices=("human", "json"), default="human")

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 import sympy
@@ -113,6 +113,16 @@ class TestBernoulli:
             bernoulli(-1)
 
 
+def _one(k: int) -> int:
+    """The coefficients of the series 1."""
+    return int(k == 0)
+
+
+def _even(term):
+    """The coefficients Σ term(k) x^k over even k only."""
+    return lambda k: term(k) if k % 2 == 0 else 0
+
+
 class TestTaylorSeries:
     def test_ahat_coefficients(self):
         s = taylor_series("ahat", 4)
@@ -129,20 +139,40 @@ class TestTaylorSeries:
     def test_todd_matches_bernoulli(self):
         # x/(1-e^{-x}) = sum B_k^+ x^k/k! with B_1^+ = +1/2
         s = taylor_series("todd", 8)
-        from math import factorial
-
         for k in range(9):
             expected = abs(bernoulli(k)) if k == 1 else bernoulli(k)
             assert s[k] == expected / factorial(k)
 
     def test_chern_char_is_exp(self):
-        from math import factorial
-
         assert taylor_series("chern_char", 5) == [Fraction(1, factorial(k)) for k in range(6)]
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             taylor_series("elliptic")
+
+    @pytest.mark.parametrize("name", ["ahat", "todd", "lgenus", "chern", "pontryagin", "chern_char"])
+    def test_negative_order_rejected(self, name):
+        with pytest.raises(ValueError, match="nonnegative"):
+            taylor_series(name, -1)
+
+    @pytest.mark.parametrize(
+        "name, other, product",
+        [
+            ("todd", lambda k: Fraction((-1) ** k, factorial(k + 1)), _one),  # (1 - e^{-x})/x
+            ("ahat", _even(lambda k: Fraction(1, 2**k * factorial(k + 1))), _one),  # sinh(x/2)/(x/2)
+            ("lgenus", _even(lambda k: Fraction(1, factorial(k + 1))), _even(lambda k: Fraction(1, factorial(k)))),
+            ("chern", _one, lambda k: int(k <= 1)),
+            ("pontryagin", _one, lambda k: int(k in (0, 2))),
+        ],
+    )
+    def test_series_satisfy_their_defining_identities(self, name, other, product):
+        # f · g = h through x^20 with g, h from factorials alone, independent of bernoulli:
+        # todd·(1 - e^{-x})/x = 1, ahat·sinh(x/2)/(x/2) = 1, lgenus·sinh(x)/x = cosh(x),
+        # chern = 1 + x and pontryagin = 1 + x^2
+        order = 20
+        f = taylor_series(name, order)
+        for k in range(order + 1):
+            assert sum(f[j] * other(k - j) for j in range(k + 1)) == product(k), (name, k)
 
 
 class TestGenusExpand:
@@ -158,6 +188,12 @@ class TestGenusExpand:
         assert got["p1"] == Fraction(1, 3)
         assert got["p1^2"] == Fraction(-1, 45)
         assert got["p2"] == Fraction(7, 45)
+
+    @pytest.mark.parametrize("name", ["todd", "chern", "chern_char"])
+    def test_series_that_is_not_even_rejected(self, name):
+        # Π f(x_j) is a polynomial in the Pontryagin classes only for an even f
+        with pytest.raises(ValueError, match="not an even series"):
+            genus_expand(name)
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)

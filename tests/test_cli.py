@@ -360,6 +360,7 @@ class TestUsageErrors:
             (["index", "--model", "sphere2", "--lmax", "3", "--t", "0.1"],
              "tail bound 19.3 at t=0.1, lmax=3 is not below 0.5"),
             (["index", "--model", "sphere2", "--lmax", "1", "--t", "2,0.5", "--format", "csv"], "at t=0.5, lmax=1"),
+            (["classify", "5", "2", "--complex", "4", "--even"], "--complex N takes no signature P Q"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):
