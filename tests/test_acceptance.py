@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spingeo import acceptance, index_lab
+from spingeo import acceptance, cech, clifford, index_lab
 
 
 def _run(fn, limit, **kwargs):
@@ -31,7 +31,42 @@ def test_criterion_02_periodicity():
 
 
 def test_criterion_03_clifford_relations():
-    _run(acceptance.criterion_clifford_relations, 10, seed=0)
+    _run(acceptance.criterion_clifford_relations, 2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_criterion_03_checks_every_relation_case_and_blade_triple(seed):
+    # (p, q, i, j) with p + q = n takes (n + 1) n² values; blade triples (n + 1) 8ⁿ
+    relations = sum((n + 1) * n * n for n in range(1, 6))
+    triples = sum((n + 1) * 8**n for n in range(1, 5))
+    assert (relations, triples) == (280, 22_736)
+    result = acceptance.criterion_clifford_relations(seed=seed)
+    assert result.passed and result.detail == (
+        f"{relations} relation cases (all with p+q ≤ 5), {triples:,} blade triples (all with n ≤ 4), "
+        "100 random triples at n = 5, 6, exact"
+    )
+
+
+@pytest.mark.parametrize(
+    "planted, detail",
+    [
+        # η complemented within the n bits: the wrong square on either side of p
+        (lambda mask, b, neg, n: mask(b, ~neg & ((1 << n) - 1), n), "relation fails at (0, 1, 1, 1)"),
+        # η ignored: every generator squares to +1
+        (lambda mask, b, neg, n: mask(b, 0, n), "relation fails at (1, 0, 1, 1)"),
+        # bit 0 flipped for grade-3 right factors: no relation sees it, e1 (e1 e2e3) does
+        (
+            lambda mask, b, neg, n: mask(b, neg, n) ^ (b.bit_count() == 3),
+            "associativity fails on blades (1, 1, 6) in Cl(0,3)",
+        ),
+    ],
+    ids=["eta-complemented", "eta-ignored", "grade-3-sign"],
+)
+def test_criterion_03_sees_a_planted_sign_mask_error(monkeypatch, planted, detail):
+    true_mask = clifford._sign_mask
+    monkeypatch.setattr(clifford, "_sign_mask", lambda b, neg, n: planted(true_mask, b, neg, n))
+    result = acceptance.criterion_clifford_relations(seed=0)
+    assert not result.passed and result.detail == detail
 
 
 def test_criterion_04_spinor_representation():
@@ -62,7 +97,25 @@ def test_criterion_08_chern_gauss_bonnet():
 
 
 def test_criterion_09_cech_suite():
-    _run(acceptance.criterion_cech, 10, seed=0)
+    _run(acceptance.criterion_cech, 2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_criterion_09_reports_its_nerve_count(seed):
+    result = acceptance.criterion_cech(seed=seed)
+    assert result.passed and result.detail == "δ² = 0 as a matrix product on 1000 nerves; spin counts 2/1/4 with torsor"
+
+
+def test_criterion_09_sees_a_wrong_face_of_a_3_simplex(monkeypatch):
+    true_matrix = cech.coboundary_matrix
+
+    def planted(nerve, k):  # δ_2 with the lowest face of each 3-simplex dropped
+        rows = true_matrix(nerve, k)
+        return [row ^ (row & -row) for row in rows] if k == 2 else rows
+
+    monkeypatch.setattr(cech, "coboundary_matrix", planted)
+    result = acceptance.criterion_cech(seed=0)
+    assert not result.passed and result.detail == "δ² ≠ 0 on nerve 1 (k = 1)"
 
 
 def test_criterion_10_index_lab():
