@@ -20,6 +20,28 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_patches(patches) -> None:
+    if not _is_int(patches) or patches < 0:
+        raise ValueError(f"patches must be an integer >= 0, not {patches!r}")
+
+
+def _vertices(s, patches: int) -> tuple[int, ...]:
+    """s's vertices in sorted order, once checked: integers in range(patches), none repeated."""
+    if not isinstance(s, (tuple, list)):
+        raise ValueError(f"simplex {s!r} must be a list of vertices")
+    s = tuple(s)
+    if not all(_is_int(v) for v in s):  # before sorting, which would compare 0 with 'a'
+        raise ValueError(f"simplex {s} must have integer vertices")
+    if not s:
+        raise ValueError("the empty simplex () is not a simplex of a nerve")
+    ordered = tuple(sorted(s))
+    if len(set(ordered)) != len(ordered):
+        raise ValueError(f"simplex {s} repeats a vertex")
+    if ordered[0] < 0 or ordered[-1] >= patches:
+        raise ValueError(f"simplex {s} outside patch range")
+    return ordered
+
+
 class Nerve(FrozenRecord):
     """Patch count plus sorted simplex tuples, downward closed.
 
@@ -30,28 +52,33 @@ class Nerve(FrozenRecord):
     __slots__ = (*_fields, "_by_dim")
 
     def __init__(self, patches: int, simplices: tuple[tuple[int, ...], ...]):
-        if not _is_int(patches) or patches < 0:
-            raise ValueError(f"patches must be an integer >= 0, not {patches!r}")
+        _check_patches(patches)
         seen = set()
         for s in simplices:
-            if not all(_is_int(v) for v in s):
-                raise ValueError(f"simplex {s} must have integer vertices")
-            if not s:
-                raise ValueError("the empty simplex () is not a simplex of a nerve")
-            if tuple(sorted(s)) != s or len(set(s)) != len(s):
-                raise ValueError(f"simplex {s} must be sorted and duplicate-free")
-            if s[0] < 0 or s[-1] >= patches:
-                raise ValueError(f"simplex {s} outside patch range")
+            if _vertices(s, patches) != s:
+                raise ValueError(f"simplex {s} must be a sorted tuple")
             seen.add(s)
         for s in seen:
             if len(s) > 1:
                 for face in combinations(s, len(s) - 1):
                     if len(face) > 1 and face not in seen:
                         raise ValueError(f"nerve not downward closed at {s}: missing {face}")
+        self._fill(patches, simplices, sorted(simplices))
+
+    @classmethod
+    def _make(cls, patches: int, simplices: tuple[tuple[int, ...], ...]) -> "Nerve":
+        """A nerve from checked, downward-closed simplices already sorted by (size, vertices)."""
+        nerve = object.__new__(cls)
+        nerve._fill(patches, simplices, simplices)
+        return nerve
+
+    def _fill(self, patches, simplices, ordered) -> None:
+        """Set the fields, and ``_by_dim`` from ``ordered``: the simplices, sorted within each size."""
         super().__init__(patches, simplices)
         groups = {0: [(i,) for i in range(patches)]}
-        for s in sorted(s for s in simplices if len(s) > 1):
-            groups.setdefault(len(s) - 1, []).append(s)
+        for s in ordered:
+            if len(s) > 1:
+                groups.setdefault(len(s) - 1, []).append(s)
         object.__setattr__(self, "_by_dim", groups)
 
     def simplices_of_dim(self, k: int) -> list[tuple[int, ...]]:
@@ -60,14 +87,17 @@ class Nerve(FrozenRecord):
 
 
 def make_nerve(patches: int, simplices) -> Nerve:
-    """Build a nerve, closing the given simplices downward automatically."""
+    """Build a nerve, closing the given simplices downward automatically.
+
+    Only the given simplices are checked: their faces are valid by construction."""
+    _check_patches(patches)
     closed = set()
     for s in simplices:
-        s = tuple(sorted(s))
+        s = _vertices(s, patches)
         closed.add(s)
         for size in range(2, len(s)):
             closed.update(combinations(s, size))
-    return Nerve(patches, tuple(sorted(closed, key=lambda t: (len(t), t))))
+    return Nerve._make(patches, tuple(sorted(closed, key=lambda t: (len(t), t))))
 
 
 class Cochain:
@@ -143,20 +173,28 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
 
 
 # -- GF(2) elimination on row bitmasks -----------------------------------------
-# An echelon basis maps each pivot bit to its row, the row's lowest set bit;
-# rows are not reduced against each other.  A row touches no bit below its
-# pivot, so clearing v's pivot bits from the lowest upward, rescanning after
+# An echelon basis maps each pivot column to its row, whose highest set bit it
+# is; rows are not reduced against each other.  A row touches no bit above its
+# pivot, so clearing v's pivot bits from the highest downward, rescanning after
 # each XOR, leaves the unique element of v + span with no pivot bit set: a
-# normal form without full reduction.
+# normal form without full reduction.  Pivoting on the highest bit is the
+# reduction of persistent homology (Edelsbrunner-Letscher-Zomorodian 2002):
+# on coboundary matrices, whose rows and columns are simplices in sorted
+# order, it keeps the basis rows sparse where the lowest bit fills them in.
+# Keys are column numbers, not the bits themselves: hashing a small int is
+# cheaper than hashing a wide power of two.
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
     """Normal form of v modulo the span of an echelon basis: no pivot bit left set."""
     bits = v  # v's bits not yet scanned
     while bits:
-        low = bits & -bits
-        row = basis.get(low, 0)
-        v ^= row
-        bits ^= row or low
+        col = bits.bit_length() - 1
+        row = basis.get(col)
+        if row:
+            v ^= row
+            bits ^= row
+        else:
+            bits ^= 1 << col
     return v
 
 
@@ -165,7 +203,7 @@ def _insert(basis: dict[int, int], row: int) -> bool:
     row = _reduce(row, basis)
     if not row:
         return False
-    basis[row & -row] = row
+    basis[row.bit_length() - 1] = row
     return True
 
 
@@ -177,10 +215,13 @@ def _echelon(rows) -> dict[int, int]:
 
 
 def _back_substitute(basis: dict[int, int], x: int) -> int:
-    """x plus each pivot, highest first, whose row has odd parity against x: every row ends even."""
-    for pivot in sorted(basis, reverse=True):
-        if (basis[pivot] & x).bit_count() & 1:
-            x |= pivot
+    """x plus each pivot bit, lowest first, whose row has odd parity against x: every row ends even.
+
+    A row touches no bit above its pivot, so once the lower pivots are settled
+    only its own pivot bit can still change its parity."""
+    for col in sorted(basis):
+        if (basis[col] & x).bit_count() & 1:
+            x |= 1 << col
     return x
 
 
@@ -191,15 +232,15 @@ def gf2_rank(rows: list[int]) -> int:
 def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
     """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None.
 
-    Row r carries rhs bit r as a flag above the columns: no solution exactly
-    when the flag alone becomes a pivot, else back substitution from the flag."""
+    Row r is shifted up one column and carries rhs bit r as a flag in column 0,
+    below every column of x: no solution exactly when the flag alone becomes a
+    pivot, else back substitution from the flag, shifted back down."""
     if any(row >> ncols for row in rows):
         raise ValueError(f"a row has bits outside the {ncols} columns")
-    flag = 1 << ncols
-    basis = _echelon(row | (flag if rhs >> r & 1 else 0) for r, row in enumerate(rows))
-    if flag in basis:
+    basis = _echelon(row << 1 | rhs >> r & 1 for r, row in enumerate(rows))
+    if 0 in basis:
         return None
-    return _back_substitute(basis, flag) ^ flag
+    return _back_substitute(basis, 1) >> 1
 
 
 def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
@@ -207,7 +248,7 @@ def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
     if any(row >> ncols for row in rows):
         raise ValueError(f"a row has bits outside the {ncols} columns")
     basis = _echelon(rows)
-    return [_back_substitute(basis, 1 << c) for c in range(ncols) if 1 << c not in basis]
+    return [_back_substitute(basis, 1 << c) for c in range(ncols) if c not in basis]
 
 
 def cohomology_dim(nerve: Nerve, k: int) -> int:
@@ -339,5 +380,7 @@ BUILTIN_NERVES = {
 
 
 def nerve_from_dict(data: dict) -> Nerve:
-    """Load a nerve from {patches, simplices} JSON data; :class:`Nerve` checks the integers."""
-    return make_nerve(data["patches"], [tuple(s) for s in data["simplices"]])
+    """Load a nerve from {patches, simplices} JSON data; :func:`make_nerve` checks each simplex."""
+    if not isinstance(data["simplices"], list):
+        raise ValueError(f"simplices must be a list of simplices, not {data['simplices']!r}")
+    return make_nerve(data["patches"], data["simplices"])

@@ -104,6 +104,21 @@ class TestNerve:
         with pytest.raises(ValueError, match="integer"):
             Nerve(patches, simplices)
 
+    @pytest.mark.parametrize(
+        "simplex, message",
+        [
+            ((0, "a"), r"simplex \(0, 'a'\) must have integer vertices"),
+            ((0, None), r"simplex \(0, None\) must have integer vertices"),
+            (0, r"simplex 0 must be a list of vertices"),
+            ((0, 0, 1), r"simplex \(0, 0, 1\) repeats a vertex"),
+            ((0, 3), r"simplex \(0, 3\) outside patch range"),
+        ],
+    )
+    def test_make_nerve_and_nerve_reject_a_bad_simplex_alike(self, simplex, message):
+        for build in (make_nerve, Nerve):
+            with pytest.raises(ValueError, match=message):
+                build(3, (simplex,))
+
     def test_make_nerve_closes_downward(self):
         nerve = make_nerve(3, [(0, 1, 2)])
         assert set(nerve.simplices_of_dim(1)) == {(0, 1), (0, 2), (1, 2)}
@@ -252,6 +267,73 @@ class TestGF2AgainstBruteForce:
         assert len(span(kernel)) == 2 ** len(kernel)  # independent
 
 
+def transpose(rows: list[int], ncols: int) -> list[int]:
+    """The columns of a row-bitmask matrix as rows: bit r of column c is bit c of row r."""
+    return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(ncols)]
+
+
+@st.composite
+def wide_gf2_matrices(draw):
+    """(rows, ncols) over 8..64 columns, each row a sum of a few drawn rows, so many are dependent."""
+    ncols = draw(st.integers(8, 64))
+    gens = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(1, (1 << len(gens)) - 1), max_size=16))
+    return [reduce(xor, (g for i, g in enumerate(gens) if p >> i & 1), 0) for p in picks], ncols
+
+
+@st.composite
+def criterion_9_nerves(draw):
+    """Nerves drawn as in criterion 9: pairs, triples and quadruples of 3 to 7 patches, closed downward."""
+    patches = draw(st.integers(3, 7))
+    pool = [s for size in (2, 3, 4) for s in combinations(range(patches), size)]
+    return make_nerve(patches, draw(st.lists(st.sampled_from(pool), max_size=20)))
+
+
+def components(nerve: Nerve) -> int:
+    """Connected components of the 1-skeleton, by union-find."""
+    parent = list(range(nerve.patches))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in nerve.simplices_of_dim(1):
+        parent[root(a)] = root(b)
+    return sum(root(v) == v for v in range(nerve.patches))
+
+
+class TestInvariantsOfAnyPivotRule:
+    """What every correct elimination gives, whichever row it pivots on."""
+
+    @PROPERTY_SETTINGS
+    @given(wide_gf2_matrices())
+    def test_rank_ignores_row_order_transposition_and_repeats(self, matrix):
+        rows, ncols = matrix
+        rank = gf2_rank(rows)
+        assert rank == gf2_rank(rows[::-1]) == gf2_rank(transpose(rows, ncols)) == gf2_rank(rows + rows)
+
+    @PROPERTY_SETTINGS
+    @given(criterion_9_nerves())
+    def test_cohomology_of_random_nerves(self, nerve):
+        f = [len(nerve.simplices_of_dim(k)) for k in range(4)]
+        dims = [cohomology_dim(nerve, k) for k in range(4)]
+        # Σ(-1)^k dim H^k = Σ(-1)^k f_k telescopes for any rank function, so it only
+        # checks cohomology_dim's bookkeeping; the next two oracles see wrong ranks
+        assert sum((-1) ** k * d for k, d in enumerate(dims)) == sum((-1) ** k * n for k, n in enumerate(f))
+        assert dims[0] == components(nerve)
+        # over a field H^k ≅ H_k, whose boundary matrices are the transposed δ's
+        boundary = [transpose(coboundary_matrix(nerve, k), f[k]) for k in range(4)]
+        homology = [f[k] - gf2_rank(boundary[k]) - (gf2_rank(boundary[k - 1]) if k else 0) for k in range(4)]
+        assert dims == homology
+
+    @PROPERTY_SETTINGS
+    @given(criterion_9_nerves())
+    def test_make_nerve_builds_what_nerve_accepts(self, nerve):
+        checked = Nerve(nerve.patches, nerve.simplices)
+        assert checked == nerve and checked._by_dim == nerve._by_dim
+
+
 class TestEchelonNormalForm:
     @PROPERTY_SETTINGS
     @given(gf2_matrices(), st.integers(0, (1 << 7) - 1))
@@ -262,7 +344,7 @@ class TestEchelonNormalForm:
         spanned = span(rows)
         normal = cech._reduce(v, basis)
         assert all(cech._reduce(v ^ w, basis) == normal for w in spanned)
-        assert not any(normal & pivot for pivot in basis)
+        assert not any(normal >> pivot & 1 for pivot in basis)  # keys are pivot columns
         assert (normal == 0) == (v in spanned)
 
 
@@ -541,6 +623,19 @@ class TestSurfaces:
         budget = {4: 1.0, 30: 0.5}.get(k)
         if budget:
             assert elapsed < budget, f"{k}x{k} torus spin structures took {elapsed:.2f} s"
+
+    def test_torus_grid_60_with_shuffled_labels_within_budget(self):
+        k = 60
+        perm = list(range(k * k))
+        random.Random(60).shuffle(perm)
+        nerve = make_nerve(k * k, [tuple(sorted(perm[v] for v in t)) for t in torus_grid(k)])
+        start = time.perf_counter()
+        dims = [cohomology_dim(nerve, d) for d in range(3)]
+        report = w2_and_spin_structures(Cochain(nerve, 1))
+        elapsed = time.perf_counter() - start
+        assert dims == [1, 2, 1]
+        assert report.w2_trivial and report.count == 4 and report.torsor_verified
+        assert elapsed < 5.0, f"60x60 torus cohomology and spin structures took {elapsed:.2f} s"
 
     @pytest.mark.parametrize("g", [2, 3, 5])
     def test_genus_g_surface(self, g):

@@ -225,6 +225,10 @@ class TestCech:
             ("--nerve", {"patches": 3, "simplices": [[0, 1.0], [1, 2]]}, "must have integer vertices"),
             ("--nerve", {"patches": 3, "simplices": [[0, True], [1, 2]]}, "must have integer vertices"),
             ("--nerve", {"patches": -1, "simplices": []}, "patches must be an integer >= 0"),
+            ("--nerve", {"patches": 3, "simplices": [[0, "a"]]}, "simplex (0, 'a') must have integer vertices"),
+            ("--nerve", {"patches": 3, "simplices": [[0, None]]}, "simplex (0, None) must have integer vertices"),
+            ("--nerve", {"patches": 3, "simplices": [0]}, "simplex 0 must be a list of vertices"),
+            ("--nerve", {"patches": 3, "simplices": 0}, "simplices must be a list of simplices"),
         ],
     )
     def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):
