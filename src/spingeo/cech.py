@@ -381,6 +381,10 @@ BUILTIN_NERVES = {
 
 def nerve_from_dict(data: dict) -> Nerve:
     """Load a nerve from {patches, simplices} JSON data; :func:`make_nerve` checks each simplex."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a nerve file holds a JSON object, not {type(data).__name__}")
+    if "patches" not in data or "simplices" not in data:
+        raise ValueError(f"a nerve file holds {{patches, simplices}}, not {{{', '.join(data)}}}")
     if not isinstance(data["simplices"], list):
         raise ValueError(f"simplices must be a list of simplices, not {data['simplices']!r}")
     return make_nerve(data["patches"], data["simplices"])

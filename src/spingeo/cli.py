@@ -161,7 +161,7 @@ def _cmd_cech(args) -> int:
     else:
         try:
             nerve = cech.nerve_from_dict(_load_json(args.nerve))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load nerve: {exc}")
     dims = {f"H{k}": cech.cohomology_dim(nerve, k) for k in range(3)}
     payload = {
@@ -178,7 +178,12 @@ def _cmd_cech(args) -> int:
         try:
             values = {}
             if args.lifts:
-                values = {tuple(sorted(s)): v for s, v in _load_json(args.lifts)}
+                pairs = _load_json(args.lifts)
+                if not isinstance(pairs, list) or not all(
+                    isinstance(p, list) and len(p) == 2 and isinstance(p[0], list) for p in pairs
+                ):
+                    raise ValueError("lifts are a list of [simplex, ±1] pairs")
+                values = {tuple(sorted(s)): v for s, v in pairs}
             lifts = cech.Cochain(nerve, 1, values)
         except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load lifts: {exc}")

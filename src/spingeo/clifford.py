@@ -222,11 +222,6 @@ def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     return (-1 if odd else 1), a ^ b
 
 
-def _blade_reversal_sign(blade: int) -> int:
-    k = blade.bit_count()
-    return -1 if (k * (k - 1) // 2) & 1 else 1
-
-
 #: Coefficient types the integer-numerator product takes, tested with
 #: ``type(c) is``, so bool and other subclasses take the generic loop.
 _EXACT = frozenset((int, Fraction, QI))
@@ -381,11 +376,12 @@ class Multivector:
     def __mul__(self, other):
         if not isinstance(other, Multivector):
             return Multivector._make(self.signature, {b: c * other for b, c in self.terms.items()})
-        self._check_sig(other)
         sig = self.signature
-        neg = (1 << sig.p) - 1
-        right = [(bb, cb, _sign_mask(bb, neg, sig.n)) for bb, cb in other.terms.items()]
-        kind = _exact_kind({type(c) for c in self.terms.values()}, {type(c) for c in other.terms.values()})
+        if sig != other.signature:
+            raise ValueError(f"signature mismatch: {sig} vs {other.signature}")
+        neg, n = (1 << sig.p) - 1, sig.n
+        right = [(bb, cb, _sign_mask(bb, neg, n)) for bb, cb in other.terms.items()]
+        kind = _exact_kind(set(map(type, self.terms.values())), set(map(type, other.terms.values())))
         if kind is not None:
             return Multivector._make(sig, _exact_product(self.terms, right, kind))
         terms: dict[int, Coefficient] = {}
@@ -462,12 +458,19 @@ class Multivector:
         """Anti-automorphism reversing each blade's factors: sign (-1)^(k(k-1)/2)."""
         return Multivector._make(
             self.signature,
-            {b: (c if _blade_reversal_sign(b) > 0 else -c) for b, c in self.terms.items()},
+            {b: (-c if b.bit_count() & 2 else c) for b, c in self.terms.items()},
+        )
+
+    def clifford_conjugate(self) -> "Multivector":
+        """grade_involution(transpose(phi)) in one pass: sign (-1)^(k(k+1)/2)."""
+        return Multivector._make(
+            self.signature,
+            {b: (-c if (b.bit_count() + 1) & 2 else c) for b, c in self.terms.items()},
         )
 
     def norm(self) -> "Multivector":
         """N(phi) = phi * grade_involution(transpose(phi))."""
-        return self * self.transpose().grade_involution()
+        return self * self.clifford_conjugate()
 
     def clifford_inverse(self) -> "Multivector":
         """Inverse for elements whose norm is a nonzero scalar (Clifford group).
@@ -475,7 +478,7 @@ class Multivector:
         In float mode, non-scalar norm components below 1e-9 (relative to
         the scalar part) are treated as rounding noise.
         """
-        conj = self.transpose().grade_involution()
+        conj = self.clifford_conjugate()
         n = self * conj
         scalar = n.terms.get(0, 0)
         stray = [c for b, c in n.terms.items() if b != 0]

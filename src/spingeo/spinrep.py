@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 # clifford first: compiled from source on top of numpy's heap, it raised `spinrep`'s peak RSS 0.6 MB
-from .clifford import Multivector, Signature
+from .clifford import Multivector, Signature, _sign_mask
 
 import numpy as np
 
@@ -54,21 +54,28 @@ def reflection_formula(v: Multivector, w: Multivector) -> Multivector:
 
 
 def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
-    """Matrix of ρ̃(x) restricted to the degree-1 subspace."""
-    sig = x.signature
-    n = sig.n
-    out = np.zeros((n, n), dtype=complex)
-    xe = x.grade_involution()
-    xi = x.clifford_inverse()
-    for j in range(1, n + 1):
-        image = xe * Multivector.basis_vector(j, sig) * xi
-        stray = [c for b, c in image.terms.items() if b.bit_count() != 1]
-        if any(abs(complex(c)) > 1e-9 for c in stray):
-            raise ValueError("twisted adjoint did not preserve degree 1")
-        for i in range(1, n + 1):
-            c = image.terms.get(1 << (i - 1), 0)
-            out[i - 1, j - 1] = complex(c)
-    return out
+    """Matrix of ρ̃(x) restricted to the degree-1 subspace.
+
+    One pass over the term pairs (a of x, b of x⁻¹) fills all n columns, since
+    e_a e_j = ±e_(a⊕j); each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.
+    """
+    sig, n = x.signature, x.signature.n
+    neg = (1 << sig.p) - 1
+    gens = [(1 << j, _sign_mask(1 << j, neg, n)) for j in range(n)]
+    right = [(b, cb, _sign_mask(b, neg, n)) for b, cb in x.clifford_inverse().terms.items()]
+    images = [{} for _ in range(n)]
+    for a, ca in x.terms.items():
+        # per column: the blade of e_a e_j, its sign times ε(x), the column's sums
+        cols = [(a ^ bit, (a.bit_count() ^ (a & m).bit_count()) & 1, image) for (bit, m), image in zip(gens, images)]
+        for b, cb, m in right:
+            prod = ca * cb
+            flip = -prod
+            for ab, sign, image in cols:
+                blade = ab ^ b
+                image[blade] = image.get(blade, 0) + (flip if sign ^ (ab & m).bit_count() & 1 else prod)
+    if any(b.bit_count() != 1 and abs(complex(c)) > 1e-9 for image in images for b, c in image.items()):
+        raise ValueError("twisted adjoint did not preserve degree 1")
+    return np.array([[complex(image.get(bit, 0)) for image in images] for bit, _ in gens], dtype=complex).reshape(n, n)
 
 
 def spin_rotation(i: int, j: int, t: float, sig: Signature) -> Multivector:

@@ -229,6 +229,11 @@ class TestCech:
             ("--nerve", {"patches": 3, "simplices": [[0, None]]}, "simplex (0, None) must have integer vertices"),
             ("--nerve", {"patches": 3, "simplices": [0]}, "simplex 0 must be a list of vertices"),
             ("--nerve", {"patches": 3, "simplices": 0}, "simplices must be a list of simplices"),
+            ("--nerve", [1, 2], "a nerve file holds a JSON object, not list"),
+            ("--nerve", {"simplices": []}, "a nerve file holds {patches, simplices}, not {simplices}"),
+            ("--nerve", {"patches": 3}, "a nerve file holds {patches, simplices}, not {patches}"),
+            ("--lifts", {"a": 1}, "lifts are a list of [simplex, ±1] pairs"),
+            ("--lifts", [[0, 1]], "lifts are a list of [simplex, ±1] pairs"),
         ],
     )
     def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):

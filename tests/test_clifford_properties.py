@@ -232,6 +232,13 @@ def test_product_matches_generic_loop_on_every_coefficient_mix(sig_terms):
     assert_same_terms((b * a).terms, schoolbook_product(b, a))
 
 
+@PROPERTY_SETTINGS
+@given(wide_signatures.flatmap(lambda s: st.tuples(st.just(s), blade_dicts(s, mixed_coeffs))))
+def test_clifford_conjugate_is_the_transposes_grade_involution(sig_terms):
+    x = Multivector(*sig_terms)
+    assert_same_terms(x.clifford_conjugate().terms, x.transpose().grade_involution().terms)
+
+
 def test_product_type_is_the_wider_factors():
     # one factor all Fraction with integral values, the other int: the
     # generic loop gives Fraction, never the int of the narrower factor

@@ -7,10 +7,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spingeo import acceptance, spinrep
 from spingeo.cli import main
-from spingeo.clifford import Multivector, Signature
+from spingeo.clifford import QI, Multivector, Signature
 from spingeo.spinrep import (
     ExteriorModule,
     SpinorSpace,
@@ -90,6 +91,68 @@ def rotated_blocks(lams, rng) -> np.ndarray:
         q[:, 0] = -q[:, 0]  # an orientation reversal would flip the Pfaffian's sign
     a = q @ block @ q.T
     return (a - a.T) / 2
+
+
+# -- the reference: ρ̃(x) by two Multivector products per column --------------
+#
+# twisted_adjoint_matrix fills all n columns in one pass over the term pairs
+# of x and x⁻¹; this builds each column as ε(x) e_j x⁻¹, as the function once
+# did, and the property below asks for the same bytes.
+
+def reference_twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
+    sig = x.signature
+    xe, xi = x.grade_involution(), x.clifford_inverse()
+    out = np.zeros((sig.n, sig.n), dtype=complex)
+    for j in range(sig.n):
+        image = xe * Multivector.basis_vector(j + 1, sig) * xi
+        for i in range(sig.n):
+            out[i, j] = complex(image.terms.get(1 << i, 0))
+    return out
+
+
+small_floats = st.floats(-2, 2)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+#: Coefficients of one kind per product: complex floats (signed zeros and
+#: whole numbers included, so sums can cancel exactly), rationals, Gaussian rationals.
+coefficient_kinds = st.sampled_from([
+    st.builds(complex, small_floats, small_floats),
+    st.builds(complex, st.integers(-2, 2), st.sampled_from([0.0, -0.0])),
+    small_fractions,
+    st.builds(QI, small_fractions, small_fractions),
+])
+
+
+@st.composite
+def vector_products(draw):
+    """A product of one to four non-null vectors in some Cl(p, q) with n ≤ 6."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    coeffs = draw(coefficient_kinds)
+    x = None
+    for _ in range(draw(st.integers(1, 4))):
+        v = Multivector.vector(draw(st.lists(coeffs, min_size=n, max_size=n)), sig)
+        square = complex((v * v).scalar_part())
+        assume(abs(square) >= 0.25)  # well away from null, so float norms stay scalar within 1e-9
+        x = v if x is None else x * v
+    return x
+
+
+class TestTwistedAdjointMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_products())
+    def test_one_pass_is_bit_identical_to_two_products(self, x):
+        assert twisted_adjoint_matrix(x).tobytes() == reference_twisted_adjoint_matrix(x).tobytes()
+
+    @pytest.mark.parametrize("kind", [complex, Fraction])
+    def test_degree_check_can_fail(self, kind):
+        # N(x) = 2, but ρ̃(x) e_j has a grade-5 part
+        sig = Signature(6, 0)
+        x = Multivector(sig, {0: kind(1), 0b111111: kind(1)})
+        assert x.norm() == 2
+        with pytest.raises(ValueError, match="twisted adjoint did not preserve degree 1"):
+            twisted_adjoint_matrix(x)
 
 
 class TestTwistedAdjoint:
