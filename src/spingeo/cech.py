@@ -25,19 +25,19 @@ def _check_patches(patches) -> None:
         raise ValueError(f"patches must be an integer >= 0, not {patches!r}")
 
 
-def _vertices(s, patches: int) -> tuple[int, ...]:
-    """s's vertices in sorted order, once checked: integers in range(patches), none repeated."""
+def _vertices(s, patches: int | None) -> tuple[int, ...]:
+    """s's vertices in sorted order, once checked: integers, none repeated, in range(patches) unless that is None."""
     if not isinstance(s, (tuple, list)):
         raise ValueError(f"simplex {s!r} must be a list of vertices")
     s = tuple(s)
-    if not all(_is_int(v) for v in s):  # before sorting, which would compare 0 with 'a'
+    if not all(map(_is_int, s)):  # before sorting, which would compare 0 with 'a'
         raise ValueError(f"simplex {s} must have integer vertices")
     if not s:
         raise ValueError("the empty simplex () is not a simplex of a nerve")
     ordered = tuple(sorted(s))
     if len(set(ordered)) != len(ordered):
         raise ValueError(f"simplex {s} repeats a vertex")
-    if ordered[0] < 0 or ordered[-1] >= patches:
+    if patches is not None and (ordered[0] < 0 or ordered[-1] >= patches):
         raise ValueError(f"simplex {s} outside patch range")
     return ordered
 
@@ -107,7 +107,7 @@ class Cochain:
         self.nerve, self.k, self.vector = nerve, k, 0
         index = {s: i for i, s in enumerate(nerve._by_dim.get(k, ()))} if values else {}
         for s, v in (values or {}).items():
-            s = tuple(sorted(s))
+            s = _vertices(s, None)  # out of range: not a simplex of the nerve, reported next
             if s not in index:
                 raise ValueError(f"{s} is not a {k}-simplex of the nerve")
             if not _is_int(v) or v not in (1, -1):

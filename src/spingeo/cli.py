@@ -183,7 +183,7 @@ def _cmd_cech(args) -> int:
                     isinstance(p, list) and len(p) == 2 and isinstance(p[0], list) for p in pairs
                 ):
                     raise ValueError("lifts are a list of [simplex, ±1] pairs")
-                values = {tuple(sorted(s)): v for s, v in pairs}
+                values = {tuple(s): v for s, v in pairs}
             lifts = cech.Cochain(nerve, 1, values)
         except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load lifts: {exc}")

@@ -397,6 +397,8 @@ class Multivector:
         return Multivector._make(self.signature, {b: other * c for b, c in self.terms.items()})
 
     def __truediv__(self, scalar):
+        if isinstance(scalar, int):
+            scalar = Fraction(scalar)  # exact stays exact: 1 / 3 would be a float
         return Multivector._make(self.signature, {b: c / scalar for b, c in self.terms.items()})
 
     def __pow__(self, k: int):
@@ -489,10 +491,7 @@ class Multivector:
                 raise ValueError("element has no scalar norm; cannot invert")
         if scalar == 0:
             raise ValueError("element has no scalar norm; cannot invert")
-        scale = scalar
-        if isinstance(scale, int):
-            scale = Fraction(scale)  # keep exact-mode division exact
-        return conj / scale
+        return conj / scalar
 
     def __repr__(self):
         return f"Multivector({self.signature}, {format_mv(self)!r})"

@@ -272,10 +272,10 @@ def semigroup_residual(kernel, t1: float, t2: float, xs) -> float:
     _check_time(t2, "t2")
     z, w = _composite_gauss_legendre(max(8.0 * math.sqrt(t1 + t2), 8.0), 16)
     residual = 0.0
+    rights = [np.array([kernel(t2, zz, y) for zz in z]) for y in xs]
     for x in xs:
         left = np.array([kernel(t1, x, zz) for zz in z])
-        for y in xs:
-            right = np.array([kernel(t2, zz, y) for zz in z])
+        for y, right in zip(xs, rights):
             integral = float(np.sum(w * left * right))
             residual = max(residual, abs(integral - kernel(t1 + t2, x, y)))
     return residual

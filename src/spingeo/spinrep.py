@@ -57,25 +57,35 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     """Matrix of ρ̃(x) restricted to the degree-1 subspace.
 
     One pass over the term pairs (a of x, b of x⁻¹) fills all n columns, since
-    e_a e_j = ±e_(a⊕j); each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.
+    ε(a) e_a e_j e_b = ±e_(a⊕b⊕j): the pair adds ±ca·cb to the coefficient of
+    e_(c⊕j) in column j, c = a ⊕ b, with the sign of bit j of one word per pair.
+    Each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.
     """
     sig, n = x.signature, x.signature.n
-    neg = (1 << sig.p) - 1
-    gens = [(1 << j, _sign_mask(1 << j, neg, n)) for j in range(n)]
+    neg, low = (1 << sig.p) - 1, (1 << n) - 1
+    gens = [_sign_mask(1 << j, neg, n) for j in range(n)]
     right = [(b, cb, _sign_mask(b, neg, n)) for b, cb in x.clifford_inverse().terms.items()]
-    images = [{} for _ in range(n)]
+    sums = {}  # c ↦ [coefficient of e_(c⊕j) in column j for j < n]
+    cols = range(n)
     for a, ca in x.terms.items():
-        # per column: the blade of e_a e_j, its sign times ε(x), the column's sums
-        cols = [(a ^ bit, (a.bit_count() ^ (a & m).bit_count()) & 1, image) for (bit, m), image in zip(gens, images)]
+        # bit j: the sign of ε(a) e_a e_j; e_(a⊕j) e_b adds bit j of m_b and the parity of a & m_b
+        signs = sum((a.bit_count() ^ (a & m).bit_count()) % 2 << j for j, m in enumerate(gens))
         for b, cb, m in right:
             prod = ca * cb
             flip = -prod
-            for ab, sign, image in cols:
-                blade = ab ^ b
-                image[blade] = image.get(blade, 0) + (flip if sign ^ (ab & m).bit_count() & 1 else prod)
-    if any(b.bit_count() != 1 and abs(complex(c)) > 1e-9 for image in images for b, c in image.items()):
+            cs = signs ^ m ^ (low if (a & m).bit_count() & 1 else 0)
+            acc = sums.get(a ^ b)
+            if acc is None:
+                acc = sums[a ^ b] = [0] * n
+            for j in cols:
+                acc[j] += flip if cs >> j & 1 else prod
+    touched = ((c ^ 1 << j, v) for c, acc in sums.items() for j, v in enumerate(acc))
+    if any(blade.bit_count() != 1 and abs(complex(v)) > 1e-9 for blade, v in touched):
         raise ValueError("twisted adjoint did not preserve degree 1")
-    return np.array([[complex(image.get(bit, 0)) for image in images] for bit, _ in gens], dtype=complex).reshape(n, n)
+    zeros = [0] * n
+    return np.array(
+        [[complex(sums.get(1 << i ^ 1 << j, zeros)[j]) for j in cols] for i in cols], dtype=complex
+    ).reshape(n, n)
 
 
 def spin_rotation(i: int, j: int, t: float, sig: Signature) -> Multivector:
@@ -136,12 +146,18 @@ class ExteriorModule:
     c̃(e^i) e_s = σ_i(s) e_{s ⊕ b_i} with σ_i(s) = (-1)^{|s ∩ (b_i - 1)|}, and
     c(e^i) carries the extra sign -1 where b_i ∈ s.  The module keeps one ±1
     vector per generator and composes words on index arrays; the methods
-    build the dense 2^n-dimensional matrices on request.
+    build the dense 2^n-dimensional matrices on request, so n is at most
+    :attr:`MAX_N`.
     """
+
+    #: Largest n: one dense real 2^12 × 2^12 matrix, as the Berezin left side scatters, is 128 MiB.
+    MAX_N = 12
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
+        if n > self.MAX_N:
+            raise ValueError(f"the exterior module is built for n <= {self.MAX_N}, not {n}")
         self.n = n
         self.dim = 1 << n
         self._index = np.arange(self.dim)
@@ -252,13 +268,16 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
 
     The left side is a matrix exponential on the 2^n-dimensional exterior
     module: each ½ A_ij c̃(e^i) c̃(e^j) is a signed permutation, scattered into
-    one real antisymmetric quadratic, so i·quad is Hermitian and
-    exp(quad) = V e^{-iw} Vᴴ from the eigendecomposition i·quad = V diag(w) Vᴴ;
-    the supertrace reads only the 2^n entries of exp(quad) that γ c(ω_C)
-    pairs with.  The right side uses the
-    Pfaffian and the closed form of :func:`ahat_matrix_det_sqrt`, so it
-    equals Π_j (-2i sin λ_j) when A has the rotation blocks λ_j.  Returns
-    ``(lhs, rhs)``; raises ``ValueError`` where the right side has a pole.
+    one real antisymmetric quadratic (:func:`berezin_quadratic`).  Each word
+    keeps parity, so quad is block-diagonal over even and odd subsets; on each
+    block i·quad is Hermitian and exp(quad) = V e^{-iw} Vᴴ from its
+    eigendecomposition i·quad = V diag(w) Vᴴ.  The supertrace reads only the
+    2^n entries exp(quad)[s, π(s)] that γ c(ω_C) pairs with, and for even n
+    π(s) = s ⊕ (all bits) keeps parity, so each block gives its own share.
+    The right side uses the Pfaffian and the closed form of
+    :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when A has
+    the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises ``ValueError``
+    where the right side has a pole.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -267,19 +286,28 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
     if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
     module = ExteriorModule(n)
-    quad = np.zeros((module.dim, module.dim))
-    rows = module._index
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if A[i - 1, j - 1] != 0:
-                w, mask = module._word(module._ct_signs, (i, j))
-                quad[rows ^ mask, rows] += 0.5 * A[i - 1, j - 1] * w
-    w, V = np.linalg.eigh(1j * quad)
-    g, perm = module._volume_pairing()
-    # str exp(quad) reads only exp(quad)[s, π(s)] = Σ_k V[s, k] e^{-iw_k} conj(V[π(s), k])
-    lhs = complex(g @ np.sum((V * np.exp(-1j * w)) * V[perm].conj(), axis=1))
+    quad = berezin_quadratic(A, module)
+    g, _ = module._volume_pairing()
+    # blocks[0] and blocks[1]: the even and the odd subsets, each ascending
+    blocks = np.argsort(module._grading < 0, kind="stable").reshape(2, module.dim // 2)
+    w, V = np.linalg.eigh(1j * quad[blocks[:, :, None], blocks[:, None, :]])  # one eigh per block
+    # exp(quad)[s, π(s)] = Σ_k V[s, k] e^{-iw_k} conj(V[π(s), k]), where
+    # π(s) = 2^n - 1 - s reverses each ascending block
+    lhs = np.sum(g[blocks] * np.sum((V * np.exp(-1j * w)[:, None, :]) * V[:, ::-1].conj(), axis=2), axis=1)
     rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(A.T - A)  # -2A, exactly antisymmetric
-    return lhs, complex(rhs)
+    return complex(lhs[0]) + complex(lhs[1]), complex(rhs)
+
+
+def berezin_quadratic(A: np.ndarray, module: ExteriorModule) -> np.ndarray:
+    """The real matrix of ½ Σ A_ij c̃(e^i) c̃(e^j) on ``module``, scattered word by word."""
+    quad = np.zeros((module.dim, module.dim))
+    rows, signs = module._index, module._ct_signs
+    for i, row in enumerate(A.tolist()):
+        for j, a in enumerate(row):
+            if a != 0:
+                # c̃(e^{i+1}) c̃(e^{j+1}) e_s = signs[j][s] signs[i][s ⊕ 2^j] e_{s ⊕ 2^i ⊕ 2^j}
+                quad[rows ^ (1 << i ^ 1 << j), rows] += 0.5 * a * (signs[j] * signs[i][rows ^ 1 << j])
+    return quad
 
 
 # -- complex spinor representation -------------------------------------------
@@ -292,12 +320,18 @@ class SpinorSpace:
     ι_{v^{0,1}}) becomes c(e_{2j-1}) = a_j† - a_j, c(e_{2j}) = i(a_j† + a_j)
     in terms of fermionic creation/annihilation operators on Λ(C^k), that is
     c(e^j) and i c̃(e^j) of the exterior module Λ(C^k); the matrix entries
-    are Gaussian integers, hence exact even in floats.
+    are Gaussian integers, hence exact even in floats.  The n dense generators
+    take 2^n · 16 bytes each, so n is at most :attr:`MAX_N`.
     """
+
+    #: Largest n: 20 generators of 1024 × 1024 complex entries are 320 MiB.
+    MAX_N = 20
 
     def __init__(self, n: int):
         if n < 2 or n % 2:
             raise ValueError("spinor representation implemented for even n >= 2")
+        if n > self.MAX_N:
+            raise ValueError(f"spinor representation implemented for n <= {self.MAX_N}, not {n}")
         self.n = n
         self.k = n // 2
         self.dim = 1 << self.k

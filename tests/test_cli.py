@@ -234,6 +234,7 @@ class TestCech:
             ("--nerve", {"patches": 3}, "a nerve file holds {patches, simplices}, not {patches}"),
             ("--lifts", {"a": 1}, "lifts are a list of [simplex, ±1] pairs"),
             ("--lifts", [[0, 1]], "lifts are a list of [simplex, ±1] pairs"),
+            ("--lifts", [[[0, "a"], 1]], "simplex (0, 'a') must have integer vertices"),
         ],
     )
     def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):
@@ -370,6 +371,8 @@ class TestUsageErrors:
              "tail bound 19.3 at t=0.1, lmax=3 is not below 0.5"),
             (["index", "--model", "sphere2", "--lmax", "1", "--t", "2,0.5", "--format", "csv"], "at t=0.5, lmax=1"),
             (["classify", "5", "2", "--complex", "4", "--even"], "--complex N takes no signature P Q"),
+            (["spinrep", "14", "--check", "berezin"], "the exterior module is built for n <= 12, not 14"),
+            (["spinrep", "22"], "spinor representation implemented for n <= 20, not 22"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

@@ -227,6 +227,15 @@ class TestInvolutions:
         with pytest.raises(ValueError):
             (1 + Multivector.basis_vector(1, Signature(0, 1))).clifford_inverse()
 
+    def test_division_by_an_int_stays_exact(self):
+        sig = Signature(2, 0)
+        v = Multivector.vector([1, -2], sig) / 3
+        assert v.terms == {0b01: Fraction(1, 3), 0b10: Fraction(-2, 3)}
+        assert {type(c) for c in v.terms.values()} == {Fraction}
+        # v² = -5 in Cl(2, 0), so v⁻¹ = -v/5
+        assert Multivector.vector([1, 2], sig).clifford_inverse().terms == {0b01: Fraction(-1, 5), 0b10: Fraction(-2, 5)}
+        assert (Multivector.vector([1.5, 3.0], sig) / 3).terms == {0b01: 0.5, 0b10: 1.0}
+
 
 class TestVolumeElement:
     def test_n1_is_i_e1(self):

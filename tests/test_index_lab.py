@@ -295,6 +295,18 @@ class TestHeatKernels:
         xs = (-0.8, 0.0, 0.6)
         assert semigroup_residual(kernel, 0.2, 0.3, xs) <= 1e-6
 
+    def test_semigroup_builds_each_row_once(self):
+        # one left row per x, one right row per y (16 panels × 24 nodes each), one k(t1+t2, x, y) per pair
+        calls = []
+
+        def kernel(t, x, y):
+            calls.append((t, x, y))
+            return line_heat_kernel(t, x, y)
+
+        xs = (-1.0, 0.0, 0.7)
+        assert semigroup_residual(kernel, 0.5, 0.5, xs) <= 1e-6
+        assert len(calls) == 2 * len(xs) * 384 + len(xs) ** 2
+
     def test_delta_limit(self):
         def f(y):
             return math.cos(y) + 0.2 * y

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spingeo import acceptance, spinrep
 from spingeo.cli import main
@@ -16,6 +16,7 @@ from spingeo.spinrep import (
     ExteriorModule,
     SpinorSpace,
     ahat_matrix_det_sqrt,
+    berezin_quadratic,
     berezin_residual,
     berezin_supertrace_exp,
     chirality_residual,
@@ -139,9 +140,26 @@ def vector_products(draw):
     return x
 
 
+def unit_versor(p: int, q: int, length: int, seed: int) -> Multivector:
+    """A product of ``length`` seeded unit vectors of Cl(p, q) with |v·v| ≥ 0.25, complex coefficients."""
+    rng = np.random.default_rng(seed)
+    sig = Signature(p, q)
+    x = Multivector.scalar(complex(1.0), sig)
+    while length:
+        v = rng.normal(size=p + q)
+        v = Multivector.vector([complex(c) for c in v / np.linalg.norm(v)], sig)
+        if abs(complex((v * v).scalar_part())) >= 0.25:
+            x, length = x * v, length - 1
+    return x
+
+
 class TestTwistedAdjointMatrix:
+    # the strategy stops at n = 6; two Spin(8) rotors and a Cl(4,4) versor cover n = 8
     @settings(max_examples=150, deadline=None)
     @given(vector_products())
+    @example(unit_versor(8, 0, 8, 1))
+    @example(unit_versor(8, 0, 6, 2))
+    @example(unit_versor(4, 4, 5, 3))
     def test_one_pass_is_bit_identical_to_two_products(self, x):
         assert twisted_adjoint_matrix(x).tobytes() == reference_twisted_adjoint_matrix(x).tobytes()
 
@@ -153,6 +171,15 @@ class TestTwistedAdjointMatrix:
         assert x.norm() == 2
         with pytest.raises(ValueError, match="twisted adjoint did not preserve degree 1"):
             twisted_adjoint_matrix(x)
+
+
+@st.composite
+def integer_vector_pairs(draw):
+    """Two vectors with integer coefficients in [-3, 3] of Cl(4,0), Cl(2,2) or Cl(0,3)."""
+    p, q = draw(st.sampled_from([(4, 0), (2, 2), (0, 3)]))
+    sig = Signature(p, q)
+    coeffs = st.lists(st.integers(-3, 3), min_size=p + q, max_size=p + q)
+    return Multivector.vector(draw(coeffs), sig), Multivector.vector(draw(coeffs), sig)
 
 
 class TestTwistedAdjoint:
@@ -176,6 +203,15 @@ class TestTwistedAdjoint:
             if (v * v).is_zero():
                 continue
             assert twisted_adjoint(v, w) == reflection_formula(v, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_vector_pairs())
+    def test_reflection_formula_stays_exact_on_integer_vectors(self, pair):
+        v, w = pair
+        assume(not (v * v).is_zero())
+        reflected = reflection_formula(v, w)
+        assert reflected == twisted_adjoint(v, w)
+        assert {type(c) for c in reflected.terms.values()} <= {int, Fraction}
 
     def test_orthogonality_and_determinant(self):
         rng = np.random.default_rng(0)
@@ -437,6 +473,19 @@ class TestBerezin:
         lhs, rhs = berezin_supertrace_exp(A)
         assert abs(lhs - want) <= 1e-10 * max(1.0, abs(want))
         assert abs(rhs - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_parity_blocks_at_n8(self):
+        # every c̃ⁱc̃ʲ keeps parity, so quad is block-diagonal; both blocks carry half of the left side
+        lams = (0.35, 0.8, 1.25, 2.2)
+        A = rotated_blocks(lams, np.random.default_rng(8))
+        quad = berezin_quadratic(A, ExteriorModule(8))
+        odd = np.array([s.bit_count() % 2 for s in range(1 << 8)], dtype=bool)
+        assert not quad[np.ix_(odd, ~odd)].any() and not quad[np.ix_(~odd, odd)].any()
+        assert quad[np.ix_(odd, odd)].any() and quad[np.ix_(~odd, ~odd)].any()
+        lhs, rhs = berezin_supertrace_exp(A)
+        want = math.prod(-2j * math.sin(lam) for lam in lams)
+        assert abs(lhs - want) <= spinrep.BEREZIN_TOL
+        assert abs(rhs - want) <= spinrep.BEREZIN_TOL
 
     @pytest.mark.parametrize("lam", [3.0, 3.5])
     def test_beyond_the_first_sinh_zero(self, lam):
