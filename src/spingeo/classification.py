@@ -15,6 +15,14 @@ from .records import FrozenRecord
 
 _BASE_DIM = {"R": 1, "C": 2, "H": 4}
 
+#: Largest p + q, and complex n: past it a matrix size has more digits (4,300) than Python prints.
+MAX_N = 28569
+
+
+def _check_size(n: int, what: str) -> None:
+    if n > MAX_N:
+        raise ValueError(f"{what} must be at most {MAX_N}, not {n}")
+
 
 class AlgebraType(FrozenRecord):
     """Isomorphism type M_size(base) or M_size(base) ⊕ M_size(base), base "R", "C" or "H"."""
@@ -40,11 +48,6 @@ class AlgebraType(FrozenRecord):
         return {"base": self.base, "size": self.size, "doubled": self.doubled}
 
 
-def _tensor_m2(t: AlgebraType) -> AlgebraType:
-    """t ⊗ M_2(R)."""
-    return AlgebraType(t.base, 2 * t.size, t.doubled)
-
-
 def _tensor_h(t: AlgebraType) -> AlgebraType:
     """t ⊗ H, simplified via H⊗H = M_4(R) and C⊗H = M_2(C)."""
     if t.base == "R":
@@ -68,6 +71,7 @@ def classify_real(p: int, q: int) -> AlgebraType:
     """Isomorphism type of the real Clifford algebra Cl(p, q)."""
     if p < 0 or q < 0:
         raise ValueError("signature counts must be nonnegative")
+    _check_size(p + q, "p + q")
     m2_factors = 0
     h_factors = 0
     while (p, q) not in _BASE_CASES:
@@ -86,15 +90,14 @@ def classify_real(p: int, q: int) -> AlgebraType:
     result = _BASE_CASES[(p, q)]
     for _ in range(h_factors):
         result = _tensor_h(result)
-    for _ in range(m2_factors):
-        result = _tensor_m2(result)
-    return result
+    return AlgebraType(result.base, result.size << m2_factors, result.doubled)  # ⊗ M_2(R)^m2_factors
 
 
 def classify_complex(n: int) -> AlgebraType:
     """Isomorphism type of the complex Clifford algebra Cl^c_n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_size(n, "n")
     k = n // 2
     return AlgebraType("C", 2**k, doubled=bool(n % 2))
 
@@ -103,6 +106,7 @@ def even_subalgebra_type(p: int, q: int) -> AlgebraType:
     """Type of the even subalgebra Cl^0(p, q), via Cl(p, q) ≅ Cl^0(p+1, q)."""
     if p + q < 1:
         raise ValueError("even subalgebra type needs p + q >= 1")
+    _check_size(p + q, "p + q")
     if p >= 1:
         return classify_real(p - 1, q)
     # Cl^0(0, q) ≅ Cl^0(q, 0): the even part is insensitive to the overall
@@ -114,6 +118,7 @@ def even_subalgebra_complex(n: int) -> AlgebraType:
     """Type of the even part of Cl^c_n (≅ Cl^c_{n-1})."""
     if n < 1:
         raise ValueError("even subalgebra type needs n >= 1")
+    _check_size(n, "n")
     return classify_complex(n - 1)
 
 

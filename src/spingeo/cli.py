@@ -76,17 +76,19 @@ def _cmd_spinrep(args) -> int:
     results = {}
     ok = True
     try:
+        space = None if args.check == "berezin" else spinrep.SpinorSpace(args.n)
+        if args.check in ("berezin", "all"):  # first: it rejects --trials and n before any eigendecomposition
+            berezin = spinrep.berezin_residual(args.n, args.trials, args.seed)
         if args.check in ("relations", "all"):
-            results["relations_residual"] = spinrep.relations_residual(spinrep.SpinorSpace(args.n))
+            results["relations_residual"] = spinrep.relations_residual(space)
             ok &= results["relations_residual"] <= spinrep.RELATIONS_TOL
         if args.check in ("chirality", "all"):
-            residual, dims = spinrep.chirality_residual(spinrep.SpinorSpace(args.n))
+            residual, dims = spinrep.chirality_residual(space)
             results.update(chirality_residual=residual, half_spinor_dims=list(dims))
             ok &= residual <= spinrep.CHIRALITY_TOL
         if args.check in ("berezin", "all"):
-            residual = spinrep.berezin_residual(args.n, args.trials, args.seed)
-            results.update(berezin_residual=residual, berezin_trials=args.trials)
-            ok &= residual <= spinrep.BEREZIN_TOL
+            results.update(berezin_residual=berezin, berezin_trials=args.trials)
+            ok &= berezin <= spinrep.BEREZIN_TOL
     except ValueError as exc:
         return _error(f"spinrep {args.n}: {exc}")
     payload = {

@@ -144,10 +144,10 @@ class ExteriorModule:
     ({c̃, c̃} = +2δ); the two anticommute.  In the subset basis e_s (s a
     bitmask, b_i = 2^{i-1}) both are signed permutations:
     c̃(e^i) e_s = σ_i(s) e_{s ⊕ b_i} with σ_i(s) = (-1)^{|s ∩ (b_i - 1)|}, and
-    c(e^i) carries the extra sign -1 where b_i ∈ s.  The module keeps one ±1
-    vector per generator and composes words on index arrays; the methods
-    build the dense 2^n-dimensional matrices on request, so n is at most
-    :attr:`MAX_N`.
+    c(e^i) carries the extra sign -1 where b_i ∈ s.  The module keeps each
+    generator as the pair (w, b_i) of its ±1 vector and bit, composes words
+    of such pairs on index arrays, and builds the dense 2^n-dimensional
+    matrices on request, so n is at most :attr:`MAX_N`.
     """
 
     #: Largest n: one dense real 2^12 × 2^12 matrix, as the Berezin left side scatters, is 128 MiB.
@@ -162,20 +162,20 @@ class ExteriorModule:
         self.dim = 1 << n
         self._index = np.arange(self.dim)
         self._grading = np.array([-1.0 if s.bit_count() % 2 else 1.0 for s in range(self.dim)])
-        self._ct_signs, self._c_signs = [], []
+        self._ct, self._c = [], []
         for i in range(n):
             bit = 1 << i
             sigma = self._grading[self._index & (bit - 1)]
-            self._ct_signs.append(sigma)
-            self._c_signs.append(np.where(self._index & bit, -sigma, sigma))
+            self._ct.append((sigma, bit))
+            self._c.append((np.where(self._index & bit, -sigma, sigma), bit))
 
-    def _word(self, signs, indices) -> tuple[np.ndarray, int]:
-        """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, M_i the generator with sign vector signs[i-1]."""
+    def _word(self, gens, indices) -> tuple[np.ndarray, int]:
+        """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, where gens[i-1] = (w_i, m_i) is M_i's pair."""
         w, mask = np.ones(self.dim), 0
         for i in indices:
-            bit = 1 << (i - 1)
-            w = signs[i - 1] * w[self._index ^ bit]
-            mask ^= bit
+            wi, mi = gens[i - 1]
+            w = wi * w[self._index ^ mi]
+            mask ^= mi
         return w, mask
 
     def _dense(self, w: np.ndarray, mask: int) -> np.ndarray:
@@ -185,7 +185,7 @@ class ExteriorModule:
 
     def _volume_pairing(self) -> tuple[np.ndarray, np.ndarray]:
         """(g, π) with 2^{-n/2} γ c(ω_C) e_s = g[s] e_{π[s]}, so str^{E/S} F = Σ_s g[s] F[s, π[s]]."""
-        w, mask = self._word(self._c_signs, range(1, self.n + 1))
+        w, mask = self._word(self._c, range(1, self.n + 1))
         phase = RELATIVE_SUPERTRACE_NORMALIZATION(self.n) * (1j) ** ((self.n + 1) // 2)
         perm = self._index ^ mask
         return phase * w * self._grading[perm], perm
@@ -196,17 +196,17 @@ class ExteriorModule:
         return np.diag(self._grading).astype(complex)
 
     def c(self, i: int) -> np.ndarray:
-        return self._dense(self._c_signs[i - 1], 1 << (i - 1))
+        return self._dense(*self._c[i - 1])
 
     def c_tilde(self, i: int) -> np.ndarray:
-        return self._dense(self._ct_signs[i - 1], 1 << (i - 1))
+        return self._dense(*self._ct[i - 1])
 
     def c_word(self, indices) -> np.ndarray:
         """c(e^{i_1}) ... c(e^{i_k})."""
-        return self._dense(*self._word(self._c_signs, indices))
+        return self._dense(*self._word(self._c, indices))
 
     def c_tilde_word(self, indices) -> np.ndarray:
-        return self._dense(*self._word(self._ct_signs, indices))
+        return self._dense(*self._word(self._ct, indices))
 
     def c_omega(self) -> np.ndarray:
         """c of the complex volume element i^{⌊(n+1)/2⌋} e^1 ... e^n."""
@@ -301,12 +301,12 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
 def berezin_quadratic(A: np.ndarray, module: ExteriorModule) -> np.ndarray:
     """The real matrix of ½ Σ A_ij c̃(e^i) c̃(e^j) on ``module``, scattered word by word."""
     quad = np.zeros((module.dim, module.dim))
-    rows, signs = module._index, module._ct_signs
-    for i, row in enumerate(A.tolist()):
-        for j, a in enumerate(row):
+    rows, gens = module._index, module._ct
+    for (wi, mi), row in zip(gens, A.tolist()):
+        for (wj, mj), a in zip(gens, row):
             if a != 0:
-                # c̃(e^{i+1}) c̃(e^{j+1}) e_s = signs[j][s] signs[i][s ⊕ 2^j] e_{s ⊕ 2^i ⊕ 2^j}
-                quad[rows ^ (1 << i ^ 1 << j), rows] += 0.5 * a * (signs[j] * signs[i][rows ^ 1 << j])
+                # the word c̃(e^i) c̃(e^j), as _word composes it: e_s ↦ wj[s] wi[s ⊕ mj] e_{s ⊕ mi ⊕ mj}
+                quad[rows ^ (mi ^ mj), rows] += 0.5 * a * (wj * wi[rows ^ mj])
     return quad
 
 
@@ -319,12 +319,12 @@ class SpinorSpace:
     ε_j = (e_{2j-1} - i e_{2j})/√2 and the action c(v) = √2 (v^{1,0} ∧ -
     ι_{v^{0,1}}) becomes c(e_{2j-1}) = a_j† - a_j, c(e_{2j}) = i(a_j† + a_j)
     in terms of fermionic creation/annihilation operators on Λ(C^k), that is
-    c(e^j) and i c̃(e^j) of the exterior module Λ(C^k); the matrix entries
-    are Gaussian integers, hence exact even in floats.  The n dense generators
-    take 2^n · 16 bytes each, so n is at most :attr:`MAX_N`.
+    c(e^j) and i c̃(e^j) of the exterior module Λ(C^k), kept as its pairs
+    (w, m) with c(e_i) e_s = w[s] e_{s ⊕ m}; w holds Gaussian integers, exact
+    even in floats.  Dense matrices are built on request, so n ≤ :attr:`MAX_N`.
     """
 
-    #: Largest n: 20 generators of 1024 × 1024 complex entries are 320 MiB.
+    #: Largest n: one dense 1024 × 1024 complex matrix, built on request, is 16 MiB.
     MAX_N = 20
 
     def __init__(self, n: int):
@@ -335,16 +335,17 @@ class SpinorSpace:
         self.n = n
         self.k = n // 2
         self.dim = 1 << self.k
-        fock = ExteriorModule(self.k)
-        gens = []
-        for j in range(1, self.k + 1):
-            gens.append(fock.c(j))                # a_j† - a_j = c(e_{2j-1})
-            gens.append(1j * fock.c_tilde(j))     # i(a_j† + a_j) = c(e_{2j})
-        self.generators = gens
+        self._fock = ExteriorModule(self.k)
+        self.generators = []
+        for (w, bit), (wt, _) in zip(self._fock._c, self._fock._ct):
+            self.generators += [(w, bit), (1j * wt, bit)]  # c(e_{2j-1}) = a_j† - a_j, c(e_{2j}) = i(a_j† + a_j)
+
+    def _word(self, indices) -> tuple[np.ndarray, int]:
+        return self._fock._word(self.generators, indices)
 
     def c(self, i: int) -> np.ndarray:
         """Matrix of Clifford multiplication by e_i."""
-        return self.generators[i - 1]
+        return self._fock._dense(*self.generators[i - 1])
 
     def c_vector(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -354,21 +355,12 @@ class SpinorSpace:
 
     def c_omega(self) -> np.ndarray:
         """Chirality operator: the action of the complex volume element."""
-        out = np.eye(self.dim, dtype=complex)
-        for g in self.generators:
-            out = out @ g
-        return (1j) ** ((self.n + 1) // 2) * out
+        return (1j) ** ((self.n + 1) // 2) * self._fock._dense(*self._word(range(1, self.n + 1)))
 
     def monomial_span_dim(self) -> int:
-        """Dimension of the span of all products of generator matrices."""
-        words = []
-        for r in range(self.n + 1):
-            for combo in combinations(range(1, self.n + 1), r):
-                m = np.eye(self.dim, dtype=complex)
-                for i in combo:
-                    m = m @ self.c(i)
-                words.append(m.reshape(-1))
-        return int(np.linalg.matrix_rank(np.array(words)))
+        """Dimension of the span of all products of generators."""
+        words = (self._word(combo) for r in range(self.n + 1) for combo in combinations(range(1, self.n + 1), r))
+        return int(np.linalg.matrix_rank(np.array([self._fock._dense(w, m).reshape(-1) for w, m in words])))
 
 
 def chirality_split(space: SpinorSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -388,13 +380,13 @@ BEREZIN_TOL = 1e-10
 
 
 def relations_residual(space: SpinorSpace) -> float:
-    """max over i ≤ j of |c(e_i)c(e_j) + c(e_j)c(e_i) + 2δ_ij I| (entrywise)."""
-    ident = np.eye(space.dim)
+    """max over i ≤ j of |c(e_i)c(e_j) + c(e_j)c(e_i) + 2δ_ij I| (entrywise), read off the words' w:
+    both words map each e_s to a multiple of the same e_{s ⊕ m}, which is e_s for i = j."""
     worst = 0.0
     for i in range(1, space.n + 1):
         for j in range(i, space.n + 1):
-            anti = space.c(i) @ space.c(j) + space.c(j) @ space.c(i)
-            worst = max(worst, float(np.max(np.abs(anti + 2.0 * (i == j) * ident))))
+            (w_ij, _), (w_ji, _) = space._word((i, j)), space._word((j, i))
+            worst = max(worst, float(np.max(np.abs(w_ij + w_ji + 2.0 * (i == j)))))
     return worst
 
 

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from spingeo.classification import (
+    MAX_N,
     AlgebraType,
     classify_complex,
     classify_real,
@@ -98,6 +101,34 @@ class TestEvenSubalgebra:
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ValueError):
             even_subalgebra_type(0, 0)
+
+
+class TestSizeLimit:
+    """Past MAX_N some matrix size has too many digits to print, and the reduction would crawl."""
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_every_signature_at_the_limit_prints(self, p):
+        for t in (classify_real(p, MAX_N - p), even_subalgebra_type(p + 1, MAX_N - p - 1)):
+            assert str(t) and str(t.to_dict()) and t.size.bit_length() > 14000
+
+    def test_complex_at_the_limit_prints(self):
+        for t in (classify_complex(MAX_N), even_subalgebra_complex(MAX_N)):
+            assert str(t) and str(t.to_dict())
+
+    @pytest.mark.parametrize(
+        "call, args, what",
+        [
+            (classify_real, (MAX_N + 1, 0), "p + q"),
+            (classify_real, (3, MAX_N), "p + q"),
+            (classify_real, (10**7, 0), "p + q"),
+            (even_subalgebra_type, (0, MAX_N + 1), "p + q"),
+            (classify_complex, (MAX_N + 1,), "n"),
+            (even_subalgebra_complex, (10**7,), "n"),
+        ],
+    )
+    def test_beyond_the_limit_rejected(self, call, args, what):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be at most {MAX_N}, not {sum(args)}")):
+            call(*args)
 
 
 class TestAlgebraType:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,11 @@ class TestClassify:
         assert data["complex_n"] == 3 and data["even"] is True
         assert data["result"] == {"base": "C", "size": 2, "doubled": False}
 
+    def test_largest_signature_prints(self, capsys):
+        code, out = run_cli(capsys, ["classify", "28569", "0", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["result"]["size"] == 1 << 14284  # 4,300 digits
+
 
 class TestSpinrep:
     def test_all_checks_pass(self, capsys):
@@ -67,6 +73,19 @@ class TestSpinrep:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["results"]["berezin_residual"] <= 1e-10
+
+    def test_spinor_checks_run_past_the_exterior_module_limit(self, capsys):
+        code, out = run_cli(capsys, ["spinrep", "14", "--check", "relations"])
+        assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("argv", [["spinrep", "18"], ["spinrep", "20", "--trials", "0"]])
+    def test_bad_input_exits_2_before_any_check_runs(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: spinrep ")
 
     def test_odd_n_exits_2(self, capsys):
         code = main(["spinrep", "3"])
@@ -373,6 +392,11 @@ class TestUsageErrors:
             (["classify", "5", "2", "--complex", "4", "--even"], "--complex N takes no signature P Q"),
             (["spinrep", "14", "--check", "berezin"], "the exterior module is built for n <= 12, not 14"),
             (["spinrep", "22"], "spinor representation implemented for n <= 20, not 22"),
+            (["spinrep", "18"], "the exterior module is built for n <= 12, not 18"),
+            (["spinrep", "16", "--trials", "0"], "trials must be at least 1, not 0"),
+            (["classify", "28570", "0"], "p + q must be at most 28569, not 28570"),
+            (["classify", "10000000", "0"], "p + q must be at most 28569, not 10000000"),
+            (["classify", "--complex", "29000"], "n must be at most 28569, not 29000"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):

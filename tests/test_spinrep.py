@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -560,6 +561,22 @@ class TestSpinorSpace:
         with pytest.raises(ValueError):
             SpinorSpace(3)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_words_equal_the_dense_products(self, n):
+        sp = SpinorSpace(n)
+        c = [sp.c(i) for i in range(1, n + 1)]
+        phase = (1j) ** ((n + 1) // 2)
+        assert np.array_equal(sp.c_omega(), phase * dense_word(c, range(1, n + 1), sp.dim))
+        products = [
+            dense_word(c, combo, sp.dim).reshape(-1) for r in range(n + 1) for combo in combinations(range(1, n + 1), r)
+        ]
+        assert sp.monomial_span_dim() == np.linalg.matrix_rank(np.array(products))
+
+    def test_stores_no_dense_matrix(self):
+        sp = SpinorSpace(20)
+        arrays = [w for w, _ in sp.generators] + [w for w, _ in sp._fock._c + sp._fock._ct]
+        assert all(w.shape == (sp.dim,) for w in arrays)
+
 
 class TestChirality:
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -596,9 +613,31 @@ class TestSharedResiduals:
         assert relations_residual(sp) == 0.0
         assert chirality_residual(sp) == (0.0, (sp.dim // 2, sp.dim // 2))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_relations_residual_equals_the_dense_anticommutator_max(self, n):
+        sp = SpinorSpace(n)
+        for planted in (None, 0, n - 1):
+            if planted is not None:  # Gaussian integers still, so both sides stay exact
+                w, mask = sp.generators[planted]
+                sp.generators[planted] = (w * np.where(np.arange(sp.dim) % 3, 1, 1j), mask)
+            c, ident = [sp.c(i) for i in range(1, n + 1)], np.eye(sp.dim)
+            want = max(
+                float(np.max(np.abs(c[i] @ c[j] + c[j] @ c[i] + 2.0 * (i == j) * ident)))
+                for i in range(n)
+                for j in range(i, n)
+            )
+            assert relations_residual(sp) == want and (want > 0) == (planted is not None)
+
+    def test_relations_residual_at_the_largest_n_is_quick(self):
+        sp = SpinorSpace(SpinorSpace.MAX_N)
+        start = time.perf_counter()
+        assert relations_residual(sp) == 0.0
+        assert time.perf_counter() - start < 1.0
+
     def test_relations_residual_sees_a_wrong_generator(self):
         sp = SpinorSpace(4)
-        sp.generators[0] = 1j * sp.generators[0]  # now squares to +I
+        w, mask = sp.generators[0]
+        sp.generators[0] = (1j * w, mask)  # now squares to +I
         assert relations_residual(sp) >= 1
 
     def test_chirality_residual_sees_wrong_projectors(self, monkeypatch):
