@@ -261,6 +261,14 @@ def cohomology_dim(nerve: Nerve, k: int) -> int:
     return ker - gf2_rank(coboundary_matrix(nerve, k - 1))
 
 
+def cohomology_dims(nerve: Nerve, top: int) -> list[int]:
+    """[dim H^0, ..., dim H^top], building and ranking each δ_k, k ≤ top, once."""
+    if top < 0:
+        raise ValueError("top must be nonnegative")
+    ranks = [gf2_rank(coboundary_matrix(nerve, k)) for k in range(top + 1)]
+    return [len(nerve.simplices_of_dim(k)) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
+
+
 # -- Stiefel-Whitney classes ----------------------------------------------------
 
 class CohomologyClass(Record):
@@ -338,12 +346,13 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
 def _verify_torsor(epsilon: Cochain, vectors: list[int], image: dict[int, int]) -> bool:
     """The classes of solutions of δc = ε modulo im δ₀ (echelon basis ``image``) form an
     H¹-torsor, so vectors that solve it, are distinct modulo im δ₀ and number 2^b₁ (b₁ from
-    its own rank count) are one representative of every class."""
+    its own rank count: δ₁, and ``image``'s size for δ₀) are one representative of every class."""
     delta1 = coboundary_matrix(epsilon.nerve, 1)
+    b1 = len(epsilon.nerve.simplices_of_dim(1)) - gf2_rank(delta1) - len(image)  # ker δ₁ less im δ₀
     return (
         all(_apply(delta1, v) == epsilon.vector for v in vectors)
         and len({_reduce(v, image) for v in vectors}) == len(vectors)
-        and len(vectors) == 2 ** cohomology_dim(epsilon.nerve, 1)
+        and len(vectors) == 2**b1
     )
 
 

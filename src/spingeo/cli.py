@@ -165,7 +165,7 @@ def _cmd_cech(args) -> int:
             nerve = cech.nerve_from_dict(_load_json(args.nerve))
         except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load nerve: {exc}")
-    dims = {f"H{k}": cech.cohomology_dim(nerve, k) for k in range(3)}
+    dims = {f"H{k}": dim for k, dim in enumerate(cech.cohomology_dims(nerve, 2))}
     payload = {
         "command": "cech",
         "nerve": args.nerve,

@@ -238,6 +238,82 @@ def _exact_kind(ta: set[type], tb: set[type]) -> type | None:
     return kind if ta | tb <= _EXACT and {kind} in (ta, tb) else None
 
 
+#: Term pairs len(a) · len(b) from which a product of complex or exact factors,
+#: and ``spinrep.twisted_adjoint_matrix`` on complex x, run in :func:`_pair_sums`
+#: rather than a Python loop; the measured crossover is recorded in CHANGES.md.
+_ARRAY_PAIRS = 512
+
+#: Pair-column terms per block of :func:`_pair_sums`: each block's arrays stay small.
+_BLOCK = 1 << 14
+
+
+def _pair_sums(left, right, masks, lparts, rparts, columns=None):
+    """Sums of ±l·r over the term pairs (a of ``left``, b of ``right``), each added to blade a ⊕ b.
+
+    ``masks`` are the right blades' :func:`_sign_mask` words: a pair's term is
+    negated when a & m_b has odd parity.  ``lparts`` and ``rparts`` hold each
+    factor's coefficients as component lists, (re, im) of complex floats or of
+    Gaussian integers, or (num,) of integers, whose products and sums fit int64;
+    two components multiply as complex numbers do, re = ar·br − ai·bi and
+    im = ar·bi + ai·br.  With ``columns = (lw, k)`` each pair adds to k
+    columns instead, column j negated when bit j of lw[a] ^ m_b is set, and
+    every column once more when a & m_b has odd parity.
+
+    np.add.at adds its terms one after another in the order given, row after
+    row, so each sum is built as the double loop over a, then b, builds it, bit
+    for bit; a row meets each product blade at most once.  Returns the blades in
+    the loop's order of first touch and, per component, their (blades, k) sums.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    la, lb, mb = (np.fromiter(x, dtype=u64, count=len(x)) for x in (left, right, masks))
+    lw, k = (None, 1) if columns is None else (np.array(columns[0], dtype=u64), columns[1])
+    lv, rv = [np.array(p) for p in lparts], [np.array(p) for p in rparts]
+    xor = la[:, None] ^ lb
+    size = int(xor.max()) + 1
+    if size <= xor.size:  # index the accumulators by blade
+        keys, index = None, xor.astype(np.intp)
+    else:  # by rank among the product's blades
+        keys, index = np.unique(xor, return_inverse=True)
+        index, size = index.reshape(xor.shape), keys.size
+    accs = [np.zeros(size * k, dtype=p.dtype) for p in lv]
+    first = np.full(size, xor.size)
+    bits = np.arange(k, dtype=u64)
+    low = u64((1 << k) - 1)
+    step = max(1, _BLOCK // (len(right) * k))
+    for s in range(0, len(left), step):
+        rows = slice(s, s + step)
+        words = (np.bitwise_count(la[rows, None] & mb) & 1).astype(u64)
+        if lw is not None:
+            words = words * low ^ lw[rows, None] ^ mb
+        flags = words[..., None] >> bits & 1
+        if len(lv) == 2:
+            (ar, ai), (br, bi) = ((v[rows, None] for v in lv), rv)
+            terms = (ar * br - ai * bi, ar * bi + ai * br)
+        else:
+            terms = (lv[0][rows, None] * rv[0],)
+        cells = index[rows]
+        flat = (cells[..., None] * k + np.arange(k)).ravel()
+        for acc, t in zip(accs, terms):
+            t = t[..., None]
+            if t.dtype.kind == "f":  # flip the sign bit, as -x does, NaN included
+                t = (t.view(u64) ^ flags << 63).view(t.dtype)
+            else:
+                t = t * (1 - 2 * flags.view(np.int64))
+            np.add.at(acc, flat, t.ravel())
+        np.minimum.at(first, cells.ravel(), np.arange(s * len(right), s * len(right) + cells.size))
+    touched = np.flatnonzero(first < xor.size)
+    order = touched[np.argsort(first[touched])]
+    blades = (order if keys is None else keys[order]).tolist()
+    return blades, [acc.reshape(size, k)[order] for acc in accs]
+
+
+def _components(terms: dict[int, complex]) -> tuple[list[float], list[float]]:
+    """The real and the imaginary parts of complex coefficients, for :func:`_pair_sums`."""
+    return [c.real for c in terms.values()], [c.imag for c in terms.values()]
+
+
 def _numerators(coeffs: Iterable[Coefficient], gaussian: bool) -> tuple[int, list]:
     """A common denominator d and the numerators of exact coeffs over d, as (re, im) pairs if gaussian."""
     coeffs = [x for c in coeffs for x in ((c.re, c.im) if type(c) is QI else (c, 0))] if gaussian else list(coeffs)
@@ -246,25 +322,30 @@ def _numerators(coeffs: Iterable[Coefficient], gaussian: bool) -> tuple[int, lis
     return d, list(zip(nums[::2], nums[1::2])) if gaussian else nums
 
 
-def _exact_product(left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]], kind: type) -> dict:
-    """Terms of the product of two factors of :func:`_exact_kind` ``kind``, summed on integers.
+def _loop_product(left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]]) -> dict:
+    """The generic product: each term pair adds ±ca·cb to blade a ⊕ b, a after a and b after b.
 
-    ``right`` holds (blade, coefficient, sign mask) triples.  Both factors are
-    scaled to integer (Gaussian if ``kind`` is QI) numerators over a common
-    denominator, so the double loop multiplies and adds plain ints and one
-    ``kind`` is built per output blade: values, types and order are the generic loop's.
+    ``right`` holds (blade, coefficient, sign mask) triples.
     """
-    gaussian = kind is QI
-    da, lnum = _numerators(left.values(), gaussian)
-    db, rnum = _numerators((cb for _, cb, _ in right), gaussian)
-    d = da * db
+    terms: dict[int, Coefficient] = {}
+    for ba, ca in left.items():
+        for bb, cb, m in right:
+            blade = ba ^ bb
+            contrib = -(ca * cb) if (ba & m).bit_count() & 1 else ca * cb
+            terms[blade] = terms.get(blade, 0) + contrib
+    return terms
+
+
+def _numerator_loop(left, lnum: list, right, rnum: list, gaussian: bool) -> tuple[list[int], list[list[int]]]:
+    """The generic loop on integer numerators: the blades in order of first touch and the
+    sums at them, one list per component (re, im if gaussian)."""
     if not gaussian:
         rows = [(bb, br, m) for (bb, _, m), br in zip(right, rnum)]
         acc: dict[int, int] = {}
         for ba, ar in zip(left, lnum):
             for bb, br, m in rows:
                 acc[ba ^ bb] = acc.get(ba ^ bb, 0) + (-(ar * br) if (ba & m).bit_count() & 1 else ar * br)
-        return {blade: Fraction(v, d) for blade, v in acc.items()}
+        return list(acc), [list(acc.values())]
     rows = [(bb, br, bi, m) for (bb, _, m), (br, bi) in zip(right, rnum)]
     re_acc: dict[int, int] = {}
     im_acc: dict[int, int] = {}
@@ -277,9 +358,39 @@ def _exact_product(left: dict[int, Coefficient], right: list[tuple[int, Coeffici
                 real, imag = -real, -imag
             re_acc[blade] = re_acc.get(blade, 0) + real
             im_acc[blade] = im_acc.get(blade, 0) + imag
-    return {
-        blade: QI(Fraction(real, d), Fraction(im_acc[blade], d)) for blade, real in re_acc.items()
-    }
+    return list(re_acc), [list(re_acc.values()), list(im_acc.values())]
+
+
+def _numerator_array(left, lnum: list, right, rnum: list, gaussian: bool) -> tuple[list[int], list[list[int]]] | None:
+    """:func:`_numerator_loop`'s result from :func:`_pair_sums` on int64, or None where a sum could overflow."""
+    parts = ([*zip(*lnum)], [*zip(*rnum)]) if gaussian else ([lnum], [rnum])
+    # a blade's sum has at most min(len) terms, each at most two products of numerators
+    bound = 2 * min(len(lnum), len(rnum)) * math.prod(max(abs(x) for p in ps for x in p) for ps in parts)
+    if bound >= 1 << 63:
+        return None
+    blades, sums = _pair_sums(left, [bb for bb, _, _ in right], [m for _, _, m in right], *parts)
+    return blades, [s[:, 0].tolist() for s in sums]
+
+
+def _exact_product(left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]], kind: type) -> dict:
+    """Terms of the product of two factors of :func:`_exact_kind` ``kind``, summed on integers.
+
+    ``right`` holds (blade, coefficient, sign mask) triples.  Both factors are
+    scaled to integer (Gaussian if ``kind`` is QI) numerators over a common
+    denominator, so the sums are of plain ints and one ``kind`` is built per
+    output blade: values, types and order are the generic loop's.  From
+    :data:`_ARRAY_PAIRS` term pairs on, numerators whose sums fit int64 are
+    summed by :func:`_pair_sums`.
+    """
+    gaussian = kind is QI
+    da, lnum = _numerators(left.values(), gaussian)
+    db, rnum = _numerators((cb for _, cb, _ in right), gaussian)
+    d = da * db
+    summed = _numerator_array(left, lnum, right, rnum, gaussian) if len(lnum) * len(rnum) >= _ARRAY_PAIRS else None
+    blades, sums = summed or _numerator_loop(left, lnum, right, rnum, gaussian)
+    if not gaussian:
+        return {blade: Fraction(v, d) for blade, v in zip(blades, sums[0])}
+    return {blade: QI(Fraction(real, d), Fraction(imag, d)) for blade, real, imag in zip(blades, *sums)}
 
 
 class Multivector:
@@ -381,16 +492,15 @@ class Multivector:
             raise ValueError(f"signature mismatch: {sig} vs {other.signature}")
         neg, n = (1 << sig.p) - 1, sig.n
         right = [(bb, cb, _sign_mask(bb, neg, n)) for bb, cb in other.terms.items()]
-        kind = _exact_kind(set(map(type, self.terms.values())), set(map(type, other.terms.values())))
+        ta, tb = set(map(type, self.terms.values())), set(map(type, other.terms.values()))
+        kind = _exact_kind(ta, tb)
         if kind is not None:
             return Multivector._make(sig, _exact_product(self.terms, right, kind))
-        terms: dict[int, Coefficient] = {}
-        for ba, ca in self.terms.items():
-            for bb, cb, m in right:
-                blade = ba ^ bb
-                contrib = -(ca * cb) if (ba & m).bit_count() & 1 else ca * cb
-                terms[blade] = terms.get(blade, 0) + contrib
-        return Multivector._make(sig, terms)
+        if len(self.terms) * len(right) >= _ARRAY_PAIRS and ta == tb == {complex}:
+            parts = _components(self.terms), _components(other.terms)
+            blades, (re, im) = _pair_sums(self.terms, other.terms, [m for _, _, m in right], *parts)
+            return Multivector._make(sig, dict(zip(blades, map(complex, re[:, 0].tolist(), im[:, 0].tolist()))))
+        return Multivector._make(sig, _loop_product(self.terms, right))
 
     def __rmul__(self, other):
         # scalars commute with everything

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 # clifford first: compiled from source on top of numpy's heap, it raised `spinrep`'s peak RSS 0.6 MB
+from . import clifford
 from .clifford import Multivector, Signature, _sign_mask
 
 import numpy as np
@@ -59,17 +60,42 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     One pass over the term pairs (a of x, b of x⁻¹) fills all n columns, since
     ε(a) e_a e_j e_b = ±e_(a⊕b⊕j): the pair adds ±ca·cb to the coefficient of
     e_(c⊕j) in column j, c = a ⊕ b, with the sign of bit j of one word per pair.
-    Each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.
+    Each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.  Complex x
+    with at least ``clifford._ARRAY_PAIRS`` term pairs sums in
+    ``clifford._pair_sums``, each word selecting the columns its pair negates.
     """
     sig, n = x.signature, x.signature.n
-    neg, low = (1 << sig.p) - 1, (1 << n) - 1
+    neg = (1 << sig.p) - 1
     gens = [_sign_mask(1 << j, neg, n) for j in range(n)]
-    right = [(b, cb, _sign_mask(b, neg, n)) for b, cb in x.clifford_inverse().terms.items()]
-    sums = {}  # c ↦ [coefficient of e_(c⊕j) in column j for j < n]
-    cols = range(n)
-    for a, ca in x.terms.items():
-        # bit j: the sign of ε(a) e_a e_j; e_(a⊕j) e_b adds bit j of m_b and the parity of a & m_b
-        signs = sum((a.bit_count() ^ (a & m).bit_count()) % 2 << j for j, m in enumerate(gens))
+    inverse = x.clifford_inverse().terms
+    right = [(b, cb, _sign_mask(b, neg, n)) for b, cb in inverse.items()]
+    # bit j: the sign of ε(a) e_a e_j; e_(a⊕j) e_b adds bit j of m_b and the parity of a & m_b
+    lwords = [sum((a.bit_count() ^ (a & m).bit_count()) % 2 << j for j, m in enumerate(gens)) for a in x.terms]
+    complex_only = {type(c) for c in (*x.terms.values(), *inverse.values())} == {complex}
+    if complex_only and len(x.terms) * len(right) >= clifford._ARRAY_PAIRS:
+        parts = clifford._components(x.terms), clifford._components(inverse)
+        blades, (re, im) = clifford._pair_sums(x.terms, inverse, [m for _, _, m in right], *parts, (lwords, n))
+        acc = np.empty(re.shape, dtype=complex)
+        acc.real, acc.imag = re, im
+        sums = dict(zip(blades, acc.tolist()))
+    else:
+        sums = _twisted_loop(x.terms, lwords, right, n)
+    touched = ((c ^ 1 << j, v) for c, acc in sums.items() for j, v in enumerate(acc))
+    if any(blade.bit_count() != 1 and abs(complex(v)) > 1e-9 for blade, v in touched):
+        raise ValueError("twisted adjoint did not preserve degree 1")
+    zeros, cols = [0] * n, range(n)
+    return np.array(
+        [[complex(sums.get(1 << i ^ 1 << j, zeros)[j]) for j in cols] for i in cols], dtype=complex
+    ).reshape(n, n)
+
+
+def _twisted_loop(terms: dict, lwords: list[int], right: list[tuple], n: int) -> dict[int, list]:
+    """c ↦ [coefficient of e_(c⊕j) in column j for j < n], summed pair by pair: a of ``terms``
+    with its word in ``lwords``, then (b, cb, m_b) of ``right``; each pair negates the
+    columns set in its sign word."""
+    low, cols = (1 << n) - 1, range(n)
+    sums = {}
+    for (a, ca), signs in zip(terms.items(), lwords):
         for b, cb, m in right:
             prod = ca * cb
             flip = -prod
@@ -79,13 +105,7 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
                 acc = sums[a ^ b] = [0] * n
             for j in cols:
                 acc[j] += flip if cs >> j & 1 else prod
-    touched = ((c ^ 1 << j, v) for c, acc in sums.items() for j, v in enumerate(acc))
-    if any(blade.bit_count() != 1 and abs(complex(v)) > 1e-9 for blade, v in touched):
-        raise ValueError("twisted adjoint did not preserve degree 1")
-    zeros = [0] * n
-    return np.array(
-        [[complex(sums.get(1 << i ^ 1 << j, zeros)[j]) for j in cols] for i in cols], dtype=complex
-    ).reshape(n, n)
+    return sums
 
 
 def spin_rotation(i: int, j: int, t: float, sig: Signature) -> Multivector:
@@ -168,6 +188,7 @@ class ExteriorModule:
             sigma = self._grading[self._index & (bit - 1)]
             self._ct.append((sigma, bit))
             self._c.append((np.where(self._index & bit, -sigma, sigma), bit))
+        self._pairing = None
 
     def _word(self, gens, indices) -> tuple[np.ndarray, int]:
         """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, where gens[i-1] = (w_i, m_i) is M_i's pair."""
@@ -184,11 +205,15 @@ class ExteriorModule:
         return out
 
     def _volume_pairing(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g, π) with 2^{-n/2} γ c(ω_C) e_s = g[s] e_{π[s]}, so str^{E/S} F = Σ_s g[s] F[s, π[s]]."""
-        w, mask = self._word(self._c, range(1, self.n + 1))
-        phase = RELATIVE_SUPERTRACE_NORMALIZATION(self.n) * (1j) ** ((self.n + 1) // 2)
-        perm = self._index ^ mask
-        return phase * w * self._grading[perm], perm
+        """(g, π) with 2^{-n/2} γ c(ω_C) e_s = g[s] e_{π[s]}, so str^{E/S} F = Σ_s g[s] F[s, π[s]].
+
+        Built on the first call and shared by later ones, which only read it."""
+        if self._pairing is None:
+            w, mask = self._word(self._c, range(1, self.n + 1))
+            phase = RELATIVE_SUPERTRACE_NORMALIZATION(self.n) * (1j) ** ((self.n + 1) // 2)
+            perm = self._index ^ mask
+            self._pairing = phase * w * self._grading[perm], perm
+        return self._pairing
 
     @property
     def gamma(self) -> np.ndarray:
@@ -283,9 +308,14 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
     n = A.shape[0]
     if A.shape != (n, n) or n % 2:
         raise ValueError("A must be square of even size")
+    return _berezin_sides(A, ExteriorModule(n))
+
+
+def _berezin_sides(A: np.ndarray, module: ExteriorModule) -> tuple[complex, complex]:
+    """:func:`berezin_supertrace_exp` of a float A on ``module``, the exterior module of A's size,
+    which calls on matrices of one size share with its volume pairing."""
     if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
-    module = ExteriorModule(n)
     quad = berezin_quadratic(A, module)
     g, _ = module._volume_pairing()
     # blocks[0] and blocks[1]: the even and the odd subsets, each ascending
@@ -399,13 +429,18 @@ def chirality_residual(space: SpinorSpace) -> tuple[float, tuple[int, int]]:
 
 
 def berezin_residual(n: int, trials: int, seed: int) -> float:
-    """Worst |lhs - rhs| of :func:`berezin_supertrace_exp` over seeded A = B - Bᵀ, B = 0.4·N(0, 1)."""
+    """Worst |lhs - rhs| of :func:`berezin_supertrace_exp` over seeded A = B - Bᵀ, B = 0.4·N(0, 1).
+
+    n must be even with 2 ≤ n ≤ :attr:`ExteriorModule.MAX_N`, checked before any A is drawn."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
+    if n < 2 or n % 2:
+        raise ValueError(f"the Berezin check needs an even n >= 2, not {n}")
+    module = ExteriorModule(n)  # raises beyond MAX_N
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         B = rng.normal(size=(n, n)) * 0.4
-        lhs, rhs = berezin_supertrace_exp(B - B.T)
+        lhs, rhs = _berezin_sides(B - B.T, module)
         worst = max(worst, abs(lhs - rhs))
     return worst

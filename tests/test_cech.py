@@ -16,6 +16,7 @@ from spingeo.cech import (
     coboundary,
     coboundary_matrix,
     cohomology_dim,
+    cohomology_dims,
     gf2_nullspace,
     gf2_rank,
     gf2_solve,
@@ -318,6 +319,7 @@ class TestInvariantsOfAnyPivotRule:
     def test_cohomology_of_random_nerves(self, nerve):
         f = [len(nerve.simplices_of_dim(k)) for k in range(4)]
         dims = [cohomology_dim(nerve, k) for k in range(4)]
+        assert cohomology_dims(nerve, 3) == dims
         # Σ(-1)^k dim H^k = Σ(-1)^k f_k telescopes for any rank function, so it only
         # checks cohomology_dim's bookkeeping; the next two oracles see wrong ranks
         assert sum((-1) ** k * d for k, d in enumerate(dims)) == sum((-1) ** k * n for k, n in enumerate(f))
@@ -360,6 +362,26 @@ class TestCohomologyDims:
     def test_torus(self):
         nerve = torus_nerve()
         assert [cohomology_dim(nerve, k) for k in range(3)] == [1, 2, 1]
+
+    def test_all_dims_at_once_match_the_calls_per_k(self):
+        nerves = [circle_nerve(), sphere_nerve(), torus_nerve(), make_nerve(16, torus_grid(4)),
+                  make_nerve(16, klein_grid(4)), make_nerve(7, TORUS7), make_nerve(6, RP2),
+                  make_nerve(*genus_surface(2)), make_nerve(4, [(0, 1, 2, 3)]), make_nerve(5, [(0, 1), (3,)])]
+        for nerve in nerves:
+            for top in range(4):
+                assert cohomology_dims(nerve, top) == [cohomology_dim(nerve, k) for k in range(top + 1)], nerve
+
+    def test_all_dims_at_once_rank_each_coboundary_once(self, monkeypatch):
+        nerve = make_nerve(16, torus_grid(4))
+        ranked = []
+        true_rank = cech.gf2_rank
+        monkeypatch.setattr(cech, "gf2_rank", lambda rows: ranked.append(rows) or true_rank(rows))
+        assert cohomology_dims(nerve, 2) == [1, 2, 1]
+        assert ranked == [coboundary_matrix(nerve, k) for k in range(3)]
+
+    def test_all_dims_at_once_need_a_nonnegative_top(self):
+        with pytest.raises(ValueError, match="top must be nonnegative"):
+            cohomology_dims(torus_nerve(), -1)
 
 
 class TestW1:
@@ -504,8 +526,9 @@ class TestTorsorCertificate:
         assert outcomes == {True, False}
 
     def test_a_wrong_b1_fails_the_certificate_and_the_cli(self, monkeypatch, capsys):
-        true_dim = cech.cohomology_dim
-        monkeypatch.setattr(cech, "cohomology_dim", lambda nerve, k: true_dim(nerve, k) + (k == 1))
+        # the certificate counts b₁ from the rank of the δ₁ it builds: one rank too few, one b₁ too many
+        true_rank = cech.gf2_rank
+        monkeypatch.setattr(cech, "gf2_rank", lambda rows: true_rank(rows) - 1)
         report = w2_and_spin_structures(Cochain(torus_nerve(), 1))
         assert report.count == 4 and not report.torsor_verified
         assert cli.main(["cech", "--nerve", "torus", "--w2", "--format", "json"]) == 1

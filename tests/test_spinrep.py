@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spingeo import acceptance, spinrep
+from spingeo import acceptance, clifford, spinrep
 from spingeo.cli import main
 from spingeo.clifford import QI, Multivector, Signature
 from spingeo.spinrep import (
@@ -155,14 +155,22 @@ def unit_versor(p: int, q: int, length: int, seed: int) -> Multivector:
 
 
 class TestTwistedAdjointMatrix:
-    # the strategy stops at n = 6; two Spin(8) rotors and a Cl(4,4) versor cover n = 8
+    # the strategy stops at n = 6; two Spin(8) rotors, a Cl(4,4) versor and a Spin(7)
+    # rotor cover n = 7 and 8, each far above clifford._ARRAY_PAIRS, so the kernel runs
     @settings(max_examples=150, deadline=None)
     @given(vector_products())
     @example(unit_versor(8, 0, 8, 1))
     @example(unit_versor(8, 0, 6, 2))
     @example(unit_versor(4, 4, 5, 3))
+    @example(unit_versor(7, 0, 7, 4))
     def test_one_pass_is_bit_identical_to_two_products(self, x):
-        assert twisted_adjoint_matrix(x).tobytes() == reference_twisted_adjoint_matrix(x).tobytes()
+        got = twisted_adjoint_matrix(x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clifford, "_ARRAY_PAIRS", math.inf)  # the reference and the one pass on the loops
+            want, loop = reference_twisted_adjoint_matrix(x), twisted_adjoint_matrix(x)
+            mp.setattr(clifford, "_ARRAY_PAIRS", 1)  # every complex product and pass on the kernel
+            kernel = twisted_adjoint_matrix(x)
+        assert got.tobytes() == want.tobytes() == loop.tobytes() == kernel.tobytes()
 
     @pytest.mark.parametrize("kind", [complex, Fraction])
     def test_degree_check_can_fail(self, kind):
@@ -645,6 +653,29 @@ class TestSharedResiduals:
         residual, dims = chirality_residual(SpinorSpace(2))
         assert residual >= 1 and dims == (2, 2)
 
+    def test_one_module_per_berezin_residual_and_per_criterion(self, monkeypatch):
+        built = []
+
+        class Counted(ExteriorModule):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(spinrep, "ExteriorModule", Counted)
+        berezin_residual(4, 5, seed=2)
+        assert built == [4]
+        built.clear()
+        assert acceptance.criterion_berezin().passed
+        assert built == [2, 4]
+
+    def test_a_shared_module_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(12)
+        module = ExteriorModule(6)
+        for _ in range(3):
+            B = rng.normal(size=(6, 6))
+            assert repr(spinrep._berezin_sides(B - B.T, module)) == repr(berezin_supertrace_exp(B - B.T))
+        assert module._volume_pairing() is module._volume_pairing()
+
     def test_berezin_residual_is_seeded(self):
         assert berezin_residual(4, 3, seed=9) == berezin_residual(4, 3, seed=9) <= 1e-10
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -652,14 +683,15 @@ class TestSharedResiduals:
 
 
 def _plant_berezin_error(monkeypatch, size=None):
-    """Make berezin_supertrace_exp report rhs = lhs + 1e-9 (on size x size input only, if given)."""
-    exact = spinrep.berezin_supertrace_exp
+    """Make the Berezin sides, which berezin_supertrace_exp, berezin_residual and criterion 6
+    share, report rhs = lhs + 1e-9 (on size x size input only, if given)."""
+    exact = spinrep._berezin_sides
 
-    def planted(A):
-        lhs, rhs = exact(A)
+    def planted(A, module):
+        lhs, rhs = exact(A, module)
         return (lhs, lhs + 1e-9) if size in (None, len(A)) else (lhs, rhs)
 
-    monkeypatch.setattr(spinrep, "berezin_supertrace_exp", planted)
+    monkeypatch.setattr(spinrep, "_berezin_sides", planted)
 
 
 class TestSharedChecksCanFail:
