@@ -243,6 +243,15 @@ def _exact_kind(ta: set[type], tb: set[type]) -> type | None:
 #: rather than a Python loop; the measured crossover is recorded in CHANGES.md.
 _ARRAY_PAIRS = 512
 
+
+def _kernel_pays(left: int, right: int, n: int) -> bool:
+    """Whether ``left`` · ``right`` term pairs in an algebra on n generators go to :func:`_pair_sums`:
+    from :data:`_ARRAY_PAIRS` pairs on, where its accumulators, one entry per blade, are no
+    longer than the pairs.  Sparse factors in larger algebras keep the loop, which is faster there."""
+    pairs = left * right
+    return pairs >= _ARRAY_PAIRS and 1 << n <= pairs
+
+
 #: Pair-column terms per block of :func:`_pair_sums`: each block's arrays stay small.
 _BLOCK = 1 << 14
 
@@ -271,12 +280,7 @@ def _pair_sums(left, right, masks, lparts, rparts, columns=None):
     lw, k = (None, 1) if columns is None else (np.array(columns[0], dtype=u64), columns[1])
     lv, rv = [np.array(p) for p in lparts], [np.array(p) for p in rparts]
     xor = la[:, None] ^ lb
-    size = int(xor.max()) + 1
-    if size <= xor.size:  # index the accumulators by blade
-        keys, index = None, xor.astype(np.intp)
-    else:  # by rank among the product's blades
-        keys, index = np.unique(xor, return_inverse=True)
-        index, size = index.reshape(xor.shape), keys.size
+    index, size = xor.astype(np.intp), int(xor.max()) + 1
     accs = [np.zeros(size * k, dtype=p.dtype) for p in lv]
     first = np.full(size, xor.size)
     bits = np.arange(k, dtype=u64)
@@ -305,8 +309,7 @@ def _pair_sums(left, right, masks, lparts, rparts, columns=None):
         np.minimum.at(first, cells.ravel(), np.arange(s * len(right), s * len(right) + cells.size))
     touched = np.flatnonzero(first < xor.size)
     order = touched[np.argsort(first[touched])]
-    blades = (order if keys is None else keys[order]).tolist()
-    return blades, [acc.reshape(size, k)[order] for acc in accs]
+    return order.tolist(), [acc.reshape(size, k)[order] for acc in accs]
 
 
 def _components(terms: dict[int, complex]) -> tuple[list[float], list[float]]:
@@ -372,21 +375,23 @@ def _numerator_array(left, lnum: list, right, rnum: list, gaussian: bool) -> tup
     return blades, [s[:, 0].tolist() for s in sums]
 
 
-def _exact_product(left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]], kind: type) -> dict:
+def _exact_product(
+    left: dict[int, Coefficient], right: list[tuple[int, Coefficient, int]], kind: type, kernel: bool
+) -> dict:
     """Terms of the product of two factors of :func:`_exact_kind` ``kind``, summed on integers.
 
     ``right`` holds (blade, coefficient, sign mask) triples.  Both factors are
     scaled to integer (Gaussian if ``kind`` is QI) numerators over a common
     denominator, so the sums are of plain ints and one ``kind`` is built per
-    output blade: values, types and order are the generic loop's.  From
-    :data:`_ARRAY_PAIRS` term pairs on, numerators whose sums fit int64 are
+    output blade: values, types and order are the generic loop's.  With
+    ``kernel`` (:func:`_kernel_pays`), numerators whose sums fit int64 are
     summed by :func:`_pair_sums`.
     """
     gaussian = kind is QI
     da, lnum = _numerators(left.values(), gaussian)
     db, rnum = _numerators((cb for _, cb, _ in right), gaussian)
     d = da * db
-    summed = _numerator_array(left, lnum, right, rnum, gaussian) if len(lnum) * len(rnum) >= _ARRAY_PAIRS else None
+    summed = _numerator_array(left, lnum, right, rnum, gaussian) if kernel else None
     blades, sums = summed or _numerator_loop(left, lnum, right, rnum, gaussian)
     if not gaussian:
         return {blade: Fraction(v, d) for blade, v in zip(blades, sums[0])}
@@ -493,10 +498,10 @@ class Multivector:
         neg, n = (1 << sig.p) - 1, sig.n
         right = [(bb, cb, _sign_mask(bb, neg, n)) for bb, cb in other.terms.items()]
         ta, tb = set(map(type, self.terms.values())), set(map(type, other.terms.values()))
-        kind = _exact_kind(ta, tb)
+        kind, kernel = _exact_kind(ta, tb), _kernel_pays(len(self.terms), len(right), n)
         if kind is not None:
-            return Multivector._make(sig, _exact_product(self.terms, right, kind))
-        if len(self.terms) * len(right) >= _ARRAY_PAIRS and ta == tb == {complex}:
+            return Multivector._make(sig, _exact_product(self.terms, right, kind, kernel))
+        if kernel and ta == tb == {complex}:
             parts = _components(self.terms), _components(other.terms)
             blades, (re, im) = _pair_sums(self.terms, other.terms, [m for _, _, m in right], *parts)
             return Multivector._make(sig, dict(zip(blades, map(complex, re[:, 0].tolist(), im[:, 0].tolist()))))

@@ -61,8 +61,8 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     ε(a) e_a e_j e_b = ±e_(a⊕b⊕j): the pair adds ±ca·cb to the coefficient of
     e_(c⊕j) in column j, c = a ⊕ b, with the sign of bit j of one word per pair.
     Each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.  Complex x
-    with at least ``clifford._ARRAY_PAIRS`` term pairs sums in
-    ``clifford._pair_sums``, each word selecting the columns its pair negates.
+    whose term pairs ``clifford._kernel_pays`` for sums in ``clifford._pair_sums``,
+    each word selecting the columns its pair negates.
     """
     sig, n = x.signature, x.signature.n
     neg = (1 << sig.p) - 1
@@ -72,7 +72,7 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     # bit j: the sign of ε(a) e_a e_j; e_(a⊕j) e_b adds bit j of m_b and the parity of a & m_b
     lwords = [sum((a.bit_count() ^ (a & m).bit_count()) % 2 << j for j, m in enumerate(gens)) for a in x.terms]
     complex_only = {type(c) for c in (*x.terms.values(), *inverse.values())} == {complex}
-    if complex_only and len(x.terms) * len(right) >= clifford._ARRAY_PAIRS:
+    if complex_only and clifford._kernel_pays(len(x.terms), len(right), n):
         parts = clifford._components(x.terms), clifford._components(inverse)
         blades, (re, im) = clifford._pair_sums(x.terms, inverse, [m for _, _, m in right], *parts, (lwords, n))
         acc = np.empty(re.shape, dtype=complex)

@@ -1,7 +1,8 @@
 """The numpy kernel ``clifford._pair_sums`` against the Python loops it stands in for.
 
 ``Multivector.__mul__`` and ``spinrep.twisted_adjoint_matrix`` take the kernel
-from ``clifford._ARRAY_PAIRS`` term pairs on.  These tests move that threshold
+where ``clifford._kernel_pays``: from ``clifford._ARRAY_PAIRS`` term pairs on,
+in algebras with no more blades than pairs.  These tests overrule that choice
 to run one input both ways and ask for the same terms in the same order, each
 coefficient of the same type and, for floats, the same bytes.
 """
@@ -25,12 +26,20 @@ from spingeo.clifford import QI, Multivector, Signature
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def kernel_always(left, right, n):
+    return left * right > 0
+
+
+def kernel_never(left, right, n):
+    return False
+
+
 def run_both_ways(f):
     """f() with the kernel for every product of at least one term pair, then with the loops only."""
     results = []
-    for pairs in (1, math.inf):
+    for choice in (kernel_always, kernel_never):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clifford, "_ARRAY_PAIRS", pairs)
+            mp.setattr(clifford, "_kernel_pays", choice)
             results.append(f())
     return results
 
@@ -157,6 +166,18 @@ def test_products_below_the_threshold_never_enter_the_kernel(monkeypatch, kind):
     assert (a * b).terms and (b * a).terms
 
 
+def test_sparse_products_in_large_algebras_keep_the_loop(monkeypatch):
+    # 40 x 40 terms of Cl(20, 0): 1,600 pairs, but 2^20 blades; the loop is faster there
+    rng = random.Random(20)
+    sig = Signature(20, 0)
+    a, b = (Multivector(sig, {rng.randrange(1 << 20): complex(k + 1, 1) for k in range(40)}) for _ in range(2))
+    assert len(a.terms) * len(b.terms) >= clifford._ARRAY_PAIRS
+    got, want = run_both_ways(lambda: (a * b).terms)
+    assert_same_terms(got, want)
+    monkeypatch.setattr(clifford, "_pair_sums", refuse)
+    assert_same_terms((a * b).terms, want)
+
+
 def test_spin8_twisted_adjoint_never_enters_the_loops(monkeypatch):
     rng = random.Random(8)
     sig = Signature(8, 0)
@@ -193,7 +214,7 @@ def edge_factors(kind, m: int, seed: int):
 def test_numerators_at_the_int64_edge_stay_on_the_kernel(monkeypatch, kind):
     a, b = edge_factors(kind, EDGE, 5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clifford, "_ARRAY_PAIRS", math.inf)
+        mp.setattr(clifford, "_kernel_pays", kernel_never)
         want = (a * b).terms
     assert max(abs(v) for c in want.values() for v in ((c.re, c.im) if kind is QI else (c,))) > 2**58
     monkeypatch.setattr(clifford, "_numerator_loop", refuse)
@@ -204,7 +225,7 @@ def test_numerators_at_the_int64_edge_stay_on_the_kernel(monkeypatch, kind):
 def test_numerators_beyond_int64_fall_back_to_the_loop(monkeypatch, kind):
     a, b = edge_factors(kind, EDGE + 1, 6)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clifford, "_ARRAY_PAIRS", math.inf)
+        mp.setattr(clifford, "_kernel_pays", kernel_never)
         want = (a * b).terms
     monkeypatch.setattr(clifford, "_pair_sums", refuse)
     assert_same_terms((a * b).terms, want)

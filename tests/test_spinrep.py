@@ -157,6 +157,7 @@ def unit_versor(p: int, q: int, length: int, seed: int) -> Multivector:
 class TestTwistedAdjointMatrix:
     # the strategy stops at n = 6; two Spin(8) rotors, a Cl(4,4) versor and a Spin(7)
     # rotor cover n = 7 and 8, each far above clifford._ARRAY_PAIRS, so the kernel runs
+    # on them unforced
     @settings(max_examples=150, deadline=None)
     @given(vector_products())
     @example(unit_versor(8, 0, 8, 1))
@@ -166,9 +167,9 @@ class TestTwistedAdjointMatrix:
     def test_one_pass_is_bit_identical_to_two_products(self, x):
         got = twisted_adjoint_matrix(x)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clifford, "_ARRAY_PAIRS", math.inf)  # the reference and the one pass on the loops
+            mp.setattr(clifford, "_kernel_pays", lambda left, right, n: False)  # the loops only
             want, loop = reference_twisted_adjoint_matrix(x), twisted_adjoint_matrix(x)
-            mp.setattr(clifford, "_ARRAY_PAIRS", 1)  # every complex product and pass on the kernel
+            mp.setattr(clifford, "_kernel_pays", lambda left, right, n: True)  # the kernel for all
             kernel = twisted_adjoint_matrix(x)
         assert got.tobytes() == want.tobytes() == loop.tobytes() == kernel.tobytes()
 
