@@ -394,13 +394,13 @@ class TestUsageErrors:
             (["spinrep", "22"], "spinor representation implemented for n <= 20, not 22"),
             (["spinrep", "18"], "the exterior module is built for n <= 12, not 18"),
             (["spinrep", "16", "--trials", "0"], "trials must be at least 1, not 0"),
+            (["classify", "28570", "0"], "p + q must be at most 28569, not 28570"),
+            (["classify", "10000000", "0"], "p + q must be at most 28569, not 10000000"),
+            (["classify", "--complex", "29000"], "n must be at most 28569, not 29000"),
             (["spinrep", "0", "--check", "berezin"], "the Berezin check needs an even n >= 2, not 0"),
             (["spinrep", "-2", "--check", "berezin"], "the Berezin check needs an even n >= 2, not -2"),
             (["spinrep", "3", "--check", "berezin"], "the Berezin check needs an even n >= 2, not 3"),
             (["spinrep", "13", "--check", "berezin"], "the Berezin check needs an even n >= 2, not 13"),
-            (["classify", "28570", "0"], "p + q must be at most 28569, not 28570"),
-            (["classify", "10000000", "0"], "p + q must be at most 28569, not 10000000"),
-            (["classify", "--complex", "29000"], "n must be at most 28569, not 29000"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):
