@@ -23,7 +23,7 @@ from itertools import combinations
 
 # clifford first: compiled from source on top of numpy's heap, it raised `spinrep`'s peak RSS 0.6 MB
 from . import clifford
-from .clifford import Multivector, Signature, _sign_mask
+from .clifford import QI, Multivector, Signature
 
 import numpy as np
 
@@ -62,17 +62,18 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     e_(c⊕j) in column j, c = a ⊕ b, with the sign of bit j of one word per pair.
     Each column sums as the products ε(x) e_j x⁻¹ do, bit for bit.  Complex x
     whose term pairs ``clifford._kernel_pays`` for sums in ``clifford._pair_sums``,
-    each word selecting the columns its pair negates.
+    each word selecting the columns its pair negates.  Exact x (int, Fraction or
+    QI) sums on integers: entry (i, j) is M[i][j] / N of :func:`twisted_adjoint_numerators`.
     """
-    sig, n = x.signature, x.signature.n
+    sig, n, kinds = x.signature, x.signature.n, set(map(type, x.terms.values()))
+    if kinds <= clifford._EXACT:
+        N, M = twisted_adjoint_numerators(x)  # 0 / N is -0.0 for N < 0; the exact 0 gives 0.0
+        return np.array([[complex(m / N) if m else 0j for m in row] for row in M], dtype=complex).reshape(n, n)
     neg = (1 << sig.p) - 1
-    gens = [_sign_mask(1 << j, neg, n) for j in range(n)]
-    inverse = x.clifford_inverse().terms
-    right = [(b, cb, _sign_mask(b, neg, n)) for b, cb in inverse.items()]
-    # bit j: the sign of ε(a) e_a e_j; e_(a⊕j) e_b adds bit j of m_b and the parity of a & m_b
-    lwords = [sum((a.bit_count() ^ (a & m).bit_count()) % 2 << j for j, m in enumerate(gens)) for a in x.terms]
-    complex_only = {type(c) for c in (*x.terms.values(), *inverse.values())} == {complex}
-    if complex_only and clifford._kernel_pays(len(x.terms), len(right), n):
+    inverse = x.clifford_inverse().terms  # complex where x is
+    right = [(b, cb, clifford._sign_mask(b, neg, n)) for b, cb in inverse.items()]
+    lwords = _left_words(x.terms, neg, n)
+    if kinds == {complex} and clifford._kernel_pays(len(x.terms), len(right), n):
         parts = clifford._components(x.terms), clifford._components(inverse)
         blades, (re, im) = clifford._pair_sums(x.terms, inverse, [m for _, _, m in right], *parts, (lwords, n))
         acc = np.empty(re.shape, dtype=complex)
@@ -87,6 +88,41 @@ def twisted_adjoint_matrix(x: Multivector) -> np.ndarray:
     return np.array(
         [[complex(sums.get(1 << i ^ 1 << j, zeros)[j]) for j in cols] for i in cols], dtype=complex
     ).reshape(n, n)
+
+
+def twisted_adjoint_numerators(x: Multivector) -> tuple:
+    """(N, M) with ρ̃(x) = M / N, for x with int, Fraction or QI coefficients.
+
+    X is x over a common denominator: integers, or Gaussian integers as QI.  N = X·X̄ must be a
+    nonzero scalar; M[i][j] is the e_i coefficient of ε(X)·e_j·X̄, whose terms off degree 1 must be 0.
+    :func:`_twisted_loop` sums both on ints, X·X̄ in an unsigned column n; Gaussian X = R + iI takes
+    four passes, ε(R)e_jR̄ − ε(I)e_jĪ + i(ε(R)e_jĪ + ε(I)e_jR̄).
+    """
+    sig, n, neg = x.signature, x.signature.n, (1 << x.signature.p) - 1
+    gaussian = QI in set(map(type, x.terms.values()))
+    nums = clifford._numerators(x.terms.values(), gaussian)[1]
+    X = Multivector._make(sig, dict(zip(x.terms, [QI(*c) for c in nums] if gaussian else nums)))
+    words = _left_words(X.terms, neg, n)
+    right = [(b, cb, clifford._sign_mask(b, neg, n)) for b, cb in X.clifford_conjugate().terms.items()]
+    if gaussian:
+        left = [{a: int(getattr(c, k)) for a, c in X.terms.items()} for k in ("re", "im")]
+        right = [[(b, int(getattr(cb, k)), m) for b, cb, m in right] for k in ("re", "im")]
+        rr, ii, ri, ir = (_twisted_loop(left[s], words, right[t], n + 1) for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        sums = {c: [QI(a - b, e + f) for a, b, e, f in zip(rr[c], ii[c], ri[c], ir[c])] for c in rr}
+    else:
+        sums = _twisted_loop(X.terms, words, right, n + 1)
+    zeros = [0] * (n + 1)
+    if not sums.get(0, zeros)[n] or any(acc[n] for c, acc in sums.items() if c):
+        raise ValueError("element has no scalar norm; cannot invert")
+    if any(v and (c ^ 1 << j).bit_count() != 1 for c, acc in sums.items() for j, v in enumerate(acc[:n])):
+        raise ValueError("twisted adjoint did not preserve degree 1")
+    return sums[0][n], [[sums.get(1 << i ^ 1 << j, zeros)[j] for j in range(n)] for i in range(n)]
+
+
+def _left_words(blades, neg: int, n: int) -> list[int]:
+    """Bit j of blade a's word is the sign parity of ε(e_a) e_a e_j = (−1)^[j ∈ a] e_j e_a, so a ⊕ m_a;
+    e_(a⊕j) e_b then adds bit j of m_b and the parity of a & m_b."""
+    return [a ^ clifford._sign_mask(a, neg, n) for a in blades]
 
 
 def _twisted_loop(terms: dict, lwords: list[int], right: list[tuple], n: int) -> dict[int, list]:

@@ -5,11 +5,12 @@ enforces the criterion's wall-clock limit.
 """
 
 import inspect
+import re
 import time
 
 import pytest
 
-from spingeo import acceptance, cech, clifford, index_lab
+from spingeo import acceptance, cech, clifford, index_lab, spinrep
 
 
 def _run(fn, limit, **kwargs):
@@ -75,6 +76,62 @@ def test_criterion_04_spinor_representation():
 
 def test_criterion_05_twisted_adjoint():
     _run(acceptance.criterion_twisted_adjoint, 10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_criterion_05_reports_what_it_checked(seed):
+    result = acceptance.criterion_twisted_adjoint(seed=seed)
+    assert result.passed
+    assert re.fullmatch(
+        r"500 products each in Cl\(4,0\) and Cl\(0,3\): N = Π g\(v, v\), M·Mᵀ = N²·I, "
+        r"det M = \(−1\)\^length·Nⁿ exactly \(largest \|N\| [1-9][\d,]*\); \d+ reflections exact",
+        result.detail,
+    )
+
+
+def _drop_epsilon(monkeypatch):
+    # the grade-involution parity |a| taken out of every left sign word
+    true_words = spinrep._left_words
+    monkeypatch.setattr(
+        spinrep,
+        "_left_words",
+        lambda blades, neg, n: [w ^ ((1 << n) - 1) * (a.bit_count() & 1) for a, w in zip(blades, true_words(blades, neg, n))],
+    )
+
+
+def _conjugate_without_transpose(monkeypatch):
+    monkeypatch.setattr(clifford.Multivector, "clifford_conjugate", clifford.Multivector.grade_involution)
+
+
+def _q_squares_flipped(monkeypatch):
+    # e_i e_i = -1 for the generators with i > p too: Cl(0,3) multiplies as Cl(3,0) does
+    true_mask = clifford._sign_mask
+    monkeypatch.setattr(clifford, "_sign_mask", lambda b, neg, n: true_mask(b, neg, n) ^ (b & ~neg & ((1 << n) - 1)))
+
+
+@pytest.mark.parametrize(
+    "plant, detail",
+    [
+        (_drop_epsilon, "det M ≠ (−1)^3·N^3: a product of 3 vectors in Cl(0,3)"),
+        (_conjugate_without_transpose, "element has no scalar norm; cannot invert: a product of 4 vectors in Cl(4,0)"),
+        (_q_squares_flipped, "N = 3388, not Π g(v, v) = -3388: a product of 3 vectors in Cl(0,3)"),
+    ],
+    ids=["dropped-epsilon", "conjugate-without-transpose", "q-square-sign"],
+)
+def test_criterion_05_sees_a_planted_error(monkeypatch, plant, detail):
+    plant(monkeypatch)
+    result = acceptance.criterion_twisted_adjoint(seed=0)
+    assert not result.passed and result.detail == detail
+
+
+def test_criterion_05_uses_no_numpy(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"criterion 5 touched numpy.{name}")
+
+    monkeypatch.setattr(acceptance, "np", NoNumpy())
+    result = acceptance.criterion_twisted_adjoint(seed=0)
+    assert result.passed, result.detail
 
 
 def test_criterion_06_berezin_pfaffian():

@@ -31,6 +31,7 @@ from spingeo.spinrep import (
     spin_rotation,
     twisted_adjoint,
     twisted_adjoint_matrix,
+    twisted_adjoint_numerators,
 )
 
 
@@ -125,13 +126,17 @@ coefficient_kinds = st.sampled_from([
 ])
 
 
+#: The exact kinds alone, integers included, for the numerator form.
+exact_kinds = st.sampled_from([st.integers(-3, 3), small_fractions, st.builds(QI, small_fractions, small_fractions)])
+
+
 @st.composite
-def vector_products(draw):
-    """A product of one to four non-null vectors in some Cl(p, q) with n ≤ 6."""
+def vector_products(draw, kinds=coefficient_kinds):
+    """A product of one to four non-null vectors in some Cl(p, q) with n ≤ 6, coefficients of one of ``kinds``."""
     n = draw(st.integers(1, 6))
     p = draw(st.integers(0, n))
     sig = Signature(p, n - p)
-    coeffs = draw(coefficient_kinds)
+    coeffs = draw(kinds)
     x = None
     for _ in range(draw(st.integers(1, 4))):
         v = Multivector.vector(draw(st.lists(coeffs, min_size=n, max_size=n)), sig)
@@ -173,7 +178,7 @@ class TestTwistedAdjointMatrix:
             kernel = twisted_adjoint_matrix(x)
         assert got.tobytes() == want.tobytes() == loop.tobytes() == kernel.tobytes()
 
-    @pytest.mark.parametrize("kind", [complex, Fraction])
+    @pytest.mark.parametrize("kind", [complex, Fraction, int, QI])
     def test_degree_check_can_fail(self, kind):
         # N(x) = 2, but ρ̃(x) e_j has a grade-5 part
         sig = Signature(6, 0)
@@ -181,6 +186,54 @@ class TestTwistedAdjointMatrix:
         assert x.norm() == 2
         with pytest.raises(ValueError, match="twisted adjoint did not preserve degree 1"):
             twisted_adjoint_matrix(x)
+
+
+class TestTwistedAdjointNumerators:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_products(exact_kinds))
+    def test_numerators_over_the_norm_are_the_exact_entries(self, x):
+        N, M = twisted_adjoint_numerators(x)
+        sig, n = x.signature, x.signature.n
+        gaussian = any(type(c) is QI for c in x.terms.values())
+        kinds = {type(m) for row in M for m in row}
+        assert kinds <= ({int, QI} if gaussian else {int}) and type(N) is (QI if gaussian else int)
+        if gaussian:
+            assert all(m == 0 or (m.re.denominator, m.im.denominator) == (1, 1) for row in M for m in row)
+        xe, xi = x.grade_involution(), x.clifford_inverse()
+        for j in range(n):
+            image = xe * Multivector.basis_vector(j + 1, sig) * xi
+            assert image.grades() <= {1}
+            for i in range(n):
+                got = M[i][j] / N if gaussian else Fraction(M[i][j], N)
+                assert got == image.terms.get(1 << i, 0)
+
+    @pytest.mark.parametrize("kind", [int, Fraction, QI])
+    def test_no_scalar_norm(self, kind):
+        sig = Signature(3, 0)
+        x = Multivector(sig, {0: kind(1), 0b111: kind(1)})  # x x̄ = 2 + 2e1e2e3
+        with pytest.raises(ValueError, match="element has no scalar norm"):
+            twisted_adjoint_numerators(x)
+        with pytest.raises(ValueError, match="element has no scalar norm"):
+            twisted_adjoint_numerators(Multivector.zero(sig))
+
+    def test_exact_fraction_products_at_n6_are_fast(self):
+        # 200 Fraction versors at n = 6 took 2.4-2.5 s when the one pass summed Fraction values
+        rng = random.Random(6)
+        sig = Signature(6, 0)
+        products = []
+        for _ in range(200):
+            x = Multivector.scalar(Fraction(1), sig)
+            for _ in range(rng.randint(1, 5)):
+                v = [0] * 6
+                while not any(v):
+                    v = [rng.randint(-3, 3) for _ in range(6)]
+                x = x * Multivector.vector([Fraction(c) for c in v], sig)
+            products.append(x)
+        start = time.perf_counter()
+        for x in products:
+            twisted_adjoint_matrix(x)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"200 exact twisted adjoints at n = 6 took {elapsed:.2f} s"
 
 
 @st.composite
