@@ -90,13 +90,12 @@ def test_criterion_05_reports_what_it_checked(seed):
 
 
 def _drop_epsilon(monkeypatch):
-    # the grade-involution parity |a| taken out of every left sign word
     true_words = spinrep._left_words
-    monkeypatch.setattr(
-        spinrep,
-        "_left_words",
-        lambda blades, neg, n: [w ^ ((1 << n) - 1) * (a.bit_count() & 1) for a, w in zip(blades, true_words(blades, neg, n))],
-    )
+
+    def planted(blades, neg, n):  # the grade-involution parity |a| taken out of every left sign word
+        return [w ^ ((1 << n) - 1) * (a.bit_count() & 1) for a, w in zip(blades, true_words(blades, neg, n))]
+
+    monkeypatch.setattr(spinrep, "_left_words", planted)
 
 
 def _conjugate_without_transpose(monkeypatch):
