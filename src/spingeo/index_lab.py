@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import takewhile
 
 from .records import Record
 
@@ -45,7 +46,11 @@ def _check_t_grid(t_grid) -> list[float]:
 
 
 class SpectralModel(Record):
-    """Explicitly diagonalized D²: (eigenvalue, multiplicity, chirality) rows."""
+    """Explicitly diagonalized D²: (eigenvalue, multiplicity, chirality) rows, kept in ascending order.
+
+    ``supertrace`` and ``zero_modes`` stop early on that order, which both constructors guarantee;
+    assigning unsorted ``entries`` is outside the contract.
+    """
 
     __slots__ = _fields = ("name", "entries")
 
@@ -56,17 +61,28 @@ class SpectralModel(Record):
                 raise ValueError(f"invalid spectral entry {(lam, mult, chi)!r}")
         super().__init__(name, entries)
 
+    @classmethod
+    def _make(cls, name: str, rows: list[tuple[float, int, int]]) -> "SpectralModel":
+        """A model from valid rows already in ascending order."""
+        model = object.__new__(cls)
+        Record.__init__(model, name, rows)
+        return model
+
     def supertrace(self, t: float) -> float:
         """str e^{-tD²}, summed smallest eigenvalue first for reproducibility."""
         _check_time(t)
         total = 0.0
         for lam, mult, chi in self.entries:
-            total += chi * mult * math.exp(-t * lam)
+            term = math.exp(-t * lam)
+            if term == 0.0:  # so is every later term: adding ±0.0 to a total that is never -0.0 changes no bit
+                break
+            total += chi * mult * term
         return total
 
     def zero_modes(self, chirality: int) -> int:
         """Multiplicity of the eigenvalue 0 on the given chirality: dim ker D^± for D² = D^∓D^±."""
-        return sum(mult for lam, mult, chi in self.entries if lam == 0 and chi == chirality)
+        zeros = takewhile(lambda row: row[0] == 0, self.entries)
+        return sum(mult for _, mult, chi in zeros if chi == chirality)
 
     def kernel_dim(self) -> int:
         return self.zero_modes(+1) + self.zero_modes(-1)
@@ -84,6 +100,11 @@ class SpectralModel(Record):
         return self.nonzero_spectrum(+1) == self.nonzero_spectrum(-1)
 
 
+#: Largest cutoff of :func:`dlambda_model` and of the torus models, and largest l_max of
+#: :func:`sphere2_hodge_model`: each build takes about 1 s there (2 cores, Python 3.11).
+DLAMBDA_MAX_CUTOFF, TORUS_MAX_CUTOFF, SPHERE2_MAX_L = 500_000, 1_200, 2_000_000
+
+
 def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
     """Graded model of D_λ f = f' - 2πiλ f on the circle: D*D on the + side, DD* on the - side.
 
@@ -95,6 +116,8 @@ def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
         raise ValueError(f"λ must be finite, not {lam!r}")
     if cutoff < abs(lam) + 1:
         raise ValueError("cutoff must exceed |λ| + 1")
+    if cutoff > DLAMBDA_MAX_CUTOFF:
+        raise ValueError(f"cutoff must be at most {DLAMBDA_MAX_CUTOFF}, not {cutoff}")
     entries = []
     for n in range(-cutoff, cutoff + 1):
         for d, chi in ((n - lam, +1), (n + lam, -1)):  # a d ≠ 0 whose (2πd)² underflows (|λ| < 1e-162) stays > 0
@@ -102,14 +125,21 @@ def dlambda_model(lam: float, cutoff: int) -> SpectralModel:
     return SpectralModel("dlambda", entries)
 
 
-def _norm_counts(delta, cutoff: int) -> Counter:
-    """{|k|²: how many k = (n + δ₁, m + δ₂) with |n|, |m| ≤ cutoff have it}."""
+def _torus_rows(delta, cutoff: int, states: int) -> list[tuple[float, int, int]]:
+    """The torus models' rows in ascending order: (4π²|k|², states × how many k have that |k|², -1 then +1).
+
+    The modes are k = (n + δ₁, m + δ₂) with |n|, |m| ≤ cutoff.
+    """
+    if cutoff > TORUS_MAX_CUTOFF:
+        raise ValueError(f"cutoff must be at most {TORUS_MAX_CUTOFF}, not {cutoff}")
     first, second = (Counter((j + d) ** 2 for j in range(-cutoff, cutoff + 1)) for d in delta)
-    counts = Counter()
+    counts = {}  # a plain dict: Counter's __missing__ is a Python call per new key
     for a, ca in first.items():
         for b, cb in second.items():
-            counts[a + b] += ca * cb
-    return counts
+            k2 = a + b
+            counts[k2] = counts.get(k2, 0) + ca * cb
+    four_pi2 = 4 * math.pi**2
+    return [(four_pi2 * k2, states * count, chi) for k2, count in sorted(counts.items()) for chi in (-1, +1)]
 
 
 def torus_dirac_model(delta: tuple[float, float], cutoff: int) -> SpectralModel:
@@ -126,12 +156,7 @@ def torus_dirac_model(delta: tuple[float, float], cutoff: int) -> SpectralModel:
         raise ValueError("cutoff must be at least 1")
     if len(delta) != 2 or not all(d in (0, 0.5) for d in delta):
         raise ValueError(f"spin structure offsets must be 2 values, each 0 or 1/2, not {delta}")
-    entries = []
-    for k2, count in _norm_counts(delta, cutoff).items():
-        lam = 4 * math.pi**2 * k2
-        entries.append((lam, count, +1))
-        entries.append((lam, count, -1))
-    return SpectralModel("torus_dirac", entries)
+    return SpectralModel._make("torus_dirac", _torus_rows(delta, cutoff, 1))
 
 
 def sphere2_hodge_model(l_max: int) -> SpectralModel:
@@ -144,12 +169,10 @@ def sphere2_hodge_model(l_max: int) -> SpectralModel:
     """
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    entries = []
-    for l in range(l_max + 1):
-        entries.append((float(l * (l + 1)), 2 * (2 * l + 1), +1))
-        if l >= 1:
-            entries.append((float(l * (l + 1)), 2 * (2 * l + 1), -1))
-    return SpectralModel("sphere2_hodge", entries)
+    if l_max > SPHERE2_MAX_L:
+        raise ValueError(f"l_max must be at most {SPHERE2_MAX_L}, not {l_max}")
+    rows = [(float(l * (l + 1)), 2 * (2 * l + 1), chi) for l in range(1, l_max + 1) for chi in (-1, +1)]
+    return SpectralModel._make("sphere2_hodge", [(0.0, 2, +1)] + rows)
 
 
 def torus2_hodge_model(cutoff: int) -> SpectralModel:
@@ -160,12 +183,7 @@ def torus2_hodge_model(cutoff: int) -> SpectralModel:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    entries = []
-    for k2, count in _norm_counts((0, 0), cutoff).items():
-        lam = 4 * math.pi**2 * k2
-        entries.append((lam, 2 * count, +1))
-        entries.append((lam, 2 * count, -1))
-    return SpectralModel("torus2_hodge", entries)
+    return SpectralModel._make("torus2_hodge", _torus_rows((0, 0), cutoff, 2))
 
 
 def sphere2_tail_bound(t: float, l_max: int) -> float:

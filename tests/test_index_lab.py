@@ -1,9 +1,13 @@
 import math
+import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from spingeo import index_lab
 from spingeo.index_lab import (
     SUPERTRACE_TOL,
     SpectralModel,
@@ -56,6 +60,91 @@ class TestSpectralModel:
         assert (model.zero_modes(+1), model.zero_modes(-1)) == (2, 0)
         assert model.spectral_symmetry_holds()
         assert model.supertrace(1.0) == pytest.approx(2.0)
+
+
+def full_ascending_sum(rows, t):
+    """str e^{-tD²} over every row, smallest eigenvalue first: the sum before the underflow cut."""
+    total = 0.0
+    for lam, mult, chi in sorted(rows):
+        total += chi * mult * math.exp(-t * lam)
+    return total
+
+
+@st.composite
+def rows_and_times(draw):
+    """Rows whose e^{-tλ} is 1, normal, subnormal or 0.0, some repeated, with t in [1e-3, 1e3]."""
+    t = draw(st.floats(1e-3, 1e3))
+    lams = st.one_of(
+        st.sampled_from([0.0, math.ulp(0.0), 1e300, sys.float_info.max]),
+        st.floats(0.0, 800 / t),  # e^{-800} underflows
+        st.floats(math.ulp(0.0), sys.float_info.min).map(lambda y: -math.log(y) / t),  # subnormal e^{-tλ}
+    )
+    rows = draw(st.lists(st.tuples(lams, st.integers(1, 10**6), st.sampled_from([1, -1])), min_size=1, max_size=12))
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=4)), t
+
+
+class TestSpectralSums:
+    """The supertrace stops at the first row whose e^{-tλ} is 0.0, zero_modes at the first λ > 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_and_times())
+    @example(([(744.0, 1, 1)], 1.0))  # e^{-744} = 1e-323, subnormal
+    @example(([(702.0, 3, -1), (800.0, 1, 1)], 1.0))  # e^{-702} = 1.3e-305, below 1e-300 yet normal
+    @example(([(0.0, 2, 1), (0.0, 1, -1), (0.0, 1, -1), (5e-324, 4, 1)], 1e3))
+    def test_values_equal_the_full_sums(self, case):
+        rows, t = case
+        model = SpectralModel("m", rows)
+        assert model.supertrace(t).hex() == full_ascending_sum(rows, t).hex()
+        for chirality in (1, -1):
+            assert model.zero_modes(chirality) == sum(mult for lam, mult, chi in rows if lam == 0 and chi == chirality)
+
+    @pytest.mark.parametrize(
+        "build",
+        [*(partial(torus_dirac_model, delta) for delta in ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5))),
+         torus2_hodge_model, sphere2_hodge_model],
+        ids=["dirac-00", "dirac-0h", "dirac-h0", "dirac-hh", "torus2", "sphere2"],
+    )
+    @pytest.mark.parametrize("cutoff", [1, 7, 25, 60])
+    def test_builders_emit_sorted_rows(self, build, cutoff):
+        model = build(cutoff)
+        assert model == SpectralModel(model.name, model.entries)
+
+    def test_supertrace_evaluates_up_to_the_first_underflow(self, monkeypatch):
+        # e^{-0.1 l(l+1)} > 0 for l ≤ 85: 171 of the 6,001 rows, then one exp that underflows
+        model = sphere2_hodge_model(3000)
+        live = sum(1 for lam, _, _ in model.entries if math.exp(-0.1 * lam) > 0)
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                calls.append(x)
+                return math.exp(x)
+
+        monkeypatch.setattr(index_lab, "math", CountingMath())
+        assert model.supertrace(0.1) == pytest.approx(2.0, abs=1e-12)
+        assert (len(calls), live) == (172, 171)
+
+    @pytest.mark.parametrize(
+        "build, limit, message",
+        [
+            (lambda n: dlambda_model(0.5, n), "DLAMBDA_MAX_CUTOFF", "cutoff"),
+            (lambda n: torus_dirac_model((0.5, 0), n), "TORUS_MAX_CUTOFF", "cutoff"),
+            (torus2_hodge_model, "TORUS_MAX_CUTOFF", "cutoff"),
+            (sphere2_hodge_model, "SPHERE2_MAX_L", "l_max"),
+        ],
+    )
+    def test_sizes_are_bounded(self, monkeypatch, build, limit, message):
+        top = getattr(index_lab, limit)
+        for n in (top + 1, 10**12):
+            with pytest.raises(ValueError, match=f"{message} must be at most {top}, not {n}$"):
+                build(n)
+        monkeypatch.setattr(index_lab, limit, 3)  # the limit itself is allowed
+        assert build(3) == build(3)
+        with pytest.raises(ValueError, match=f"{message} must be at most 3, not 4$"):
+            build(4)
 
 
 def dlambda_kernels(lam, cutoff):
