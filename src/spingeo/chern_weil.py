@@ -267,6 +267,18 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def _mul_into(acc: dict, left: dict, right: dict, m: int) -> None:
+    """Add the exterior product of two {mask: coefficient} forms on m generators into acc."""
+    right = [(mb, cb, _sign_mask(mb, 0, m)) for mb, cb in right.items()]
+    for ma, ca in left.items():
+        for mb, cb, sign_mask in right:
+            if ma & mb:
+                continue
+            contrib = -(ca * cb) if (ma & sign_mask).bit_count() & 1 else ca * cb
+            mask = ma | mb
+            acc[mask] = acc.get(mask, 0) + contrib
+
+
 class FormPoly:
     """Element of the exterior algebra on generators e^1..e^m, truncated at m.
 
@@ -332,16 +344,8 @@ class FormPoly:
     def __mul__(self, other):
         if not isinstance(other, FormPoly):
             return FormPoly(self.m, {mask: c * other for mask, c in self.terms.items()})
-        o = self._coerce(other)
-        right = [(mb, cb, _sign_mask(mb, 0, self.m)) for mb, cb in o.terms.items()]
         terms: dict[int, object] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb, sign_mask in right:
-                if ma & mb:
-                    continue
-                contrib = -(ca * cb) if (ma & sign_mask).bit_count() & 1 else ca * cb
-                mask = ma | mb
-                terms[mask] = terms.get(mask, 0) + contrib
+        _mul_into(terms, self.terms, self._coerce(other).terms, self.m)
         return FormPoly(self.m, terms)
 
     def __rmul__(self, other):
@@ -428,23 +432,23 @@ class FormMatrix:
         return FormMatrix([[e * factor if e else e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
-        n = self.n
+        """Row by row over nonzero entries only, each output entry summed in one dict."""
+        right = [[(j, b.terms) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = FormPoly(self.m)
-                for k in range(n):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [{} for _ in range(self.n)]
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        _mul_into(acc[j], a.terms, b, self.m)
+            out.append([FormPoly(self.m, terms) for terms in acc])
         return FormMatrix(out)
 
     def is_antisymmetric(self) -> bool:
         e = self.entries
-        return all((e[i][j] + e[j][i]).is_zero() for i in range(self.n) for j in range(i, self.n))
+        pairs = ((e[i][j].terms, e[j][i].terms) for i in range(self.n) for j in range(i, self.n))
+        return all(all(_is_zero(c + b.get(k, 0)) for k, c in a.items())
+                   and all(k in a or _is_zero(c) for k, c in b.items()) for a, b in pairs)
 
 
 def form_tr(M: FormMatrix) -> FormPoly:
@@ -471,13 +475,33 @@ def _check_curvature(F: FormMatrix) -> None:
                 raise ValueError("curvature entries must be forms of positive even degree")
 
 
-def _power_sums(X: FormMatrix) -> list[FormPoly]:
-    """[tr X, tr X², …, tr X^{m/2}]: X^k has degree ≥ 2k, so higher powers vanish."""
-    sums, power = [], X
-    for k in range(1, X.m // 2 + 1):
-        if k > 1:
-            power = power @ X
-        sums.append(form_tr(power))
+def _trace_product(A: FormMatrix, B: FormMatrix) -> FormPoly:
+    """tr(AB) = Σ_ij A_ij B_ji over nonzero pairs, summed in one dict."""
+    acc: dict[int, object] = {}
+    for i, row in enumerate(A.entries):
+        for j, a in enumerate(row):
+            b = B.entries[j][i]
+            if a and b:
+                _mul_into(acc, a.terms, b.terms, A.m)
+    return FormPoly(A.m, acc)
+
+
+def _power_sums(F: FormMatrix, c) -> list[FormPoly]:
+    """[tr X, tr X², …, tr X^K] for X = cF and K = m/2: X^k has degree ≥ 2k, so higher powers vanish.
+
+    tr X^k = c^k tr F^k, so the sums run on F's own coefficients and each takes
+    c^k once.  tr F^k = tr(F^a F^b) with a = ⌈k/2⌉, b = ⌊k/2⌋, so only F², …,
+    F^{⌈K/2⌉} are formed: one product at m = 8, two at m = 12.
+    """
+    K = F.m // 2
+    powers = [None, F]
+    for _ in range(2, (K + 1) // 2 + 1):
+        powers.append(powers[-1] @ F)
+    sums, ck = [], c
+    for k in range(1, K + 1):
+        trace = form_tr(F) if k == 1 else _trace_product(powers[(k + 1) // 2], powers[k // 2])
+        sums.append(trace * ck)
+        ck = ck * c
     return sums
 
 
@@ -500,6 +524,9 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
     (anything else is a ``ValueError``).  For the O(n) family and the Euler
     class F must be antisymmetric.  The factors 1/(2π) and i/(2π) are exact
     :class:`PiLaurent` constants, so F's coefficients choose the arithmetic.
+    F itself is never scaled: the Pfaffian and the power sums run on its own
+    coefficients and take the constant at the end, Pf(F/2π) = (2π)^{-n/2} Pf(F)
+    and tr X^k = (i/2π)^k tr F^k.
 
     Every genus but the Euler class comes from the power sums p_k = tr X^k:
     det f(X) = exp(Σ c_k p_k) where log f(x) = Σ c_k x^k in closed form
@@ -510,12 +537,12 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
-        return form_pfaffian(F.scale(PiLaurent({-1: Fraction(1, 2)})))
+        return form_pfaffian(F) * PiLaurent({-(F.n // 2): Fraction(1, 2 ** (F.n // 2))})
     if name != "chern_char" and name not in _LOG_GENERA:
         raise ValueError(f"unknown genus {name!r}")
     if name in _LOG_GENERA and _LOG_GENERA[name][0] != 1 and not F.is_antisymmetric():
         raise ValueError(f"{name} needs an antisymmetric curvature")
-    p = _power_sums(F.scale(PiLaurent({-1: QI(0, Fraction(1, 2))})))
+    p = _power_sums(F, PiLaurent({-1: QI(0, Fraction(1, 2))}))
     if name == "chern_char":
         return sum((pk * Fraction(1, factorial(k)) for k, pk in enumerate(p, 1)), FormPoly.scalar(F.n, F.m))
     weight, c = _log_genus(name, len(p))

@@ -206,9 +206,25 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+# Each model-specific index option: dest -> (flag, default, the models that read it).
+_INDEX_OPTIONS = {
+    "lam": ("--lambda", 0.5, ("dlambda",)),
+    "delta": ("--delta", "0,0", ("torus_dirac",)),
+    "lmax": ("--lmax", 40, ("sphere2", "torus2")),
+    "cutoff": ("--cutoff", 12, ("dlambda", "torus_dirac")),
+}
+
+
 def _cmd_index(args) -> int:
     from . import index_lab
 
+    if args.model not in ("dlambda", "sphere2", "torus2", "torus_dirac"):
+        return _error(f"unknown index model {args.model!r}")
+    for dest, (flag, default, models) in _INDEX_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.model not in models:
+            return _error(f"{flag} applies to --model {' and '.join(models)} only, not {args.model}")
     payload: dict = {"command": "index", "model": args.model}
     tail, summary = None, []
     try:
@@ -236,8 +252,6 @@ def _cmd_index(args) -> int:
                             "cutoff": args.cutoff, "lambda": args.lam})
             summary = [f"D_λ (λ={args.lam}, cutoff={args.cutoff}): kernel {kernel}, cokernel {cokernel},"
                        f" index {kernel - cokernel}"]
-        else:
-            return _error(f"unknown index model {args.model!r}")
         check = index_lab.mckean_singer_check(model, ts, index, tail)
     except ValueError as exc:
         return _error(f"index --model {args.model}: {exc}")
@@ -319,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="spectral index-lab runs")
     p.add_argument("--model", default="sphere2", help="dlambda|sphere2|torus2|torus_dirac")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="λ of D_λ for dlambda")
-    p.add_argument("--delta", default="0,0", help="spin structure offsets for torus_dirac")
+    p.add_argument("--lambda", dest="lam", type=float, help="λ of D_λ for dlambda only (default 0.5)")
+    p.add_argument("--delta", help="spin structure offsets for torus_dirac only (default 0,0)")
     p.add_argument("--t", default="0.1,0.5,1,2", help="comma-separated times")
-    p.add_argument("--lmax", type=int, default=40, help="spectral cutoff for sphere2 and torus2")
-    p.add_argument("--cutoff", type=int, default=12, help="Fourier cutoff for dlambda and torus_dirac")
+    p.add_argument("--lmax", type=int, help="spectral cutoff for sphere2 and torus2 only (default 40)")
+    p.add_argument("--cutoff", type=int, help="Fourier cutoff for dlambda and torus_dirac only (default 12)")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.set_defaults(func=_cmd_index)
 

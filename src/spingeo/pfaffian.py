@@ -7,20 +7,26 @@ module has to import the other.
 
 from __future__ import annotations
 
+from functools import cache
+
 
 def pfaffian(a) -> complex:
-    """Pfaffian of an antisymmetric matrix by recursive expansion.
+    """Pfaffian of an antisymmetric matrix by recursive expansion along the first row.
 
     Works over any commutative coefficient ring (floats, Fractions, form
     polynomials); intended for the small matrices appearing here.  Zero
     entries and zero minors are skipped, so a matrix whose expansion is
-    all zero gives the int 0.
+    all zero gives the int 0.  Each minor is expanded once and cached by its
+    index tuple; the expansion is pure, so a cached minor is the value the
+    expansion would compute again, and a float or complex result is bit for
+    bit that of the plain recursion.
     """
     rows = [list(r) for r in a]
     m = len(rows)
     if m % 2:
         raise ValueError("Pfaffian needs even size")
 
+    @cache
     def rec(idx):
         if not idx:
             return 1

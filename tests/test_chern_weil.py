@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from spingeo.chern_weil import (
     FormPoly,
     PiLaurent,
     _is_zero,
+    _power_sums,
     bernoulli,
     curvature_model,
     form_pfaffian,
@@ -31,27 +33,27 @@ from spingeo.clifford import QI
 # -- the reference: det f(X), det^{1/2} f(X) and tr exp(X) from the matrix f(X) --
 #
 # genus_eval computes every genus from the power sums tr X^k.  These build
-# the matrix f(X) = Σ a_k X^k and expand its determinant by cofactors (n!
-# work), the definitions themselves, and the property tests compare the two.
+# the matrix f(X) = Σ a_k X^k and expand its determinant by cofactors (each
+# minor once: 2^n minors, not n! terms), the definitions themselves, and the
+# property tests compare the two.
 
 def form_det(M: FormMatrix) -> FormPoly:
-    """Determinant by cofactor expansion (entries commute)."""
+    """Determinant by cofactor expansion along the first row (entries commute)."""
 
-    def det(rows, cols):
+    @functools.cache
+    def det(cols):  # the minor on the last len(cols) rows and these columns
+        row = M.entries[M.n - len(cols)]
         if len(cols) == 1:
-            return M.entries[rows[0]][cols[0]]
+            return row[cols[0]]
         acc = FormPoly(M.m)
-        r0 = rows[0]
         for pos, c in enumerate(cols):
-            if not M.entries[r0][c].terms:
+            if not row[c].terms:
                 continue  # a zero entry's cofactor term is zero
-            minor = det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = M.entries[r0][c] * minor
+            term = row[c] * det(cols[:pos] + cols[pos + 1 :])
             acc = acc + (term if pos % 2 == 0 else -term)
         return acc
 
-    idx = tuple(range(M.n))
-    return det(idx, idx)
+    return det(tuple(range(M.n)))
 
 
 def form_det_sqrt(M: FormMatrix) -> FormPoly:
@@ -494,6 +496,81 @@ class TestPowerSumsAgainstReference:
     def test_general_curvature_unitary_family(self, name, F):
         # tr X ≠ 0 here, so exp's s³ term survives at m = 6
         self._check(name, F)
+
+
+@st.composite
+def exact_curvatures(draw, antisymmetric: bool, even: bool = False):
+    """Seeded exact curvature: n ≤ 8 (even n if asked), m ∈ {2, 4, 6, 8}, one coefficient kind.
+
+    Entries are zero with a drawn share, else 1–3 terms of 2- and 4-forms;
+    the coefficients are nonzero ints, Fractions, Gaussian rationals (QI) or
+    PiLaurents, as drawn.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("int", "Fraction", "QI", "PiLaurent")))
+    n = 2 * rng.randint(1, 4) if even else rng.randint(1, 8)
+    m = rng.choice((2, 4, 6, 8))
+    masks = [mask for mask in range(1, 1 << m) if mask.bit_count() in (2, 4)]
+    zero_share = rng.choice((0.0, 0.3, 0.6))
+
+    def coefficient():
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        if kind == "int":
+            return q.numerator
+        if kind == "Fraction":
+            return q
+        gauss = QI(q, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return gauss if kind == "QI" else PiLaurent({rng.randint(-2, 2): gauss, rng.randint(-2, 2): q})
+
+    F = FormMatrix.zero(n, m)
+    for i in range(n):
+        for j in range(i + 1 if antisymmetric else 0, n):
+            if rng.random() >= zero_share:
+                F.entries[i][j] = FormPoly(m, {rng.choice(masks): coefficient() for _ in range(rng.randint(1, 3))})
+                if antisymmetric:
+                    F.entries[j][i] = -F.entries[i][j]
+    return F
+
+
+class TestGenusEvalEquivalence:
+    """genus_eval, which scales F only at the end, equals the definitions on (i/2π)F term by term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("pontryagin", "lgenus", "ahat")), exact_curvatures(antisymmetric=True))
+    def test_orthogonal_family(self, name, F):
+        assert genus_eval(name, F).terms == reference_genus(name, F).terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("chern", "todd", "chern_char")), exact_curvatures(antisymmetric=False))
+    def test_unitary_family_and_character(self, name, F):
+        assert genus_eval(name, F).terms == reference_genus(name, F).terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_curvatures(antisymmetric=True, even=True))
+    def test_euler_class(self, F):
+        want = form_pfaffian(F.scale(PiLaurent({-1: Fraction(1, 2)})))
+        assert genus_eval("euler", F).terms == want.terms
+
+    @pytest.mark.parametrize("m, products", [(2, 0), (4, 0), (6, 1), (8, 1), (10, 2), (12, 2)])
+    def test_power_sums_form_half_the_powers(self, monkeypatch, m, products):
+        # tr X^k = tr(X^⌈k/2⌉ X^⌊k/2⌋): only X², …, X^⌈m/4⌉ are full products
+        F = FormMatrix.zero(3, m)
+        for i, j in itertools.permutations(range(3), 2):
+            F.entries[i][j] = FormPoly(m, {0b11 << (2 * ((i + j) % (m // 2))): i - j, 1 | 1 << (m - 1): 1})
+        calls = [0]
+        matmul = FormMatrix.__matmul__
+
+        def counting_matmul(self, other):
+            calls[0] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(FormMatrix, "__matmul__", counting_matmul)
+        sums = _power_sums(F, 1)
+        assert calls[0] == products and len(sums) == m // 2
+        power = F
+        for k, p in enumerate(sums, 1):  # against the powers formed one by one
+            assert p == form_tr(power)
+            power = matmul(power, F)
 
 
 ALL_GENERA = ("chern", "todd", "chern_char", "pontryagin", "lgenus", "ahat", "euler")

@@ -209,6 +209,103 @@ class TestGenus:
         assert message in captured.err
 
 
+# stdout of `genus --format json`, byte for byte, as the implementation that
+# scaled F by i/2π before any product printed it.  Every genus but the Euler
+# class is 0 on these round and flat models.
+GENUS_JSON = ('{"command": "genus", "genus": "%s", "integral": "%s", "model": "%s", "radius": "%s", '
+              '"schema": "spingeo-report/1", "top_coefficient": "%s", "version": "0.1.0"}\n')
+MODEL_NAMES = {"sphere2": "sphere2", "sphere4": "sphere4", "torus2": "torus2", "product": "product(sphere2,sphere2)"}
+PINNED_EULER = [  # (model, radius, top coefficient, integral)
+    ('sphere2', '1', '1/(2*pi)', '2'),
+    ('sphere2', '2/3', '9/(8*pi)', '2'),
+    ('sphere4', '1', '3/(4*pi**2)', '2'),
+    ('sphere4', '2/3', '243/(64*pi**2)', '2'),
+    ('product', '1', '1/(4*pi**2)', '4'),
+    ('product', '2/3', '81/(64*pi**2)', '4'),
+    ('torus2', '1', '0', '0'),
+    ('torus2', '2/3', '0', '0'),
+]
+PINNED_BUILT_IN = [("euler", *row) for row in PINNED_EULER] + [
+    (name, model, radius, "0", "0") for name in ("ahat", "lgenus", "pontryagin", "chern", "todd", "chern_char")
+    for model in MODEL_NAMES for radius in ("1", "2/3")
+]
+PI_AND_I_MODEL = {
+    "name": "pi-and-I", "n": 4, "volume": "8*pi**2/3",
+    "entries": [
+        [1, 2, [[[1, 2], "pi/3"], [[3, 4], "I"]]],
+        [2, 1, [[[1, 2], "-pi/3"], [[3, 4], "-I"]]],
+        [3, 4, [[[1, 2], "2*I + 1/pi"], [[3, 4], "1/2"]]],
+        [4, 3, [[[1, 2], "-2*I - 1/pi"], [[3, 4], "-1/2"]]],
+        [1, 3, [[[1, 3], "pi**2"], [[2, 4], "3"]]],
+        [3, 1, [[[1, 3], "-pi**2"], [[2, 4], "-3"]]],
+        [2, 4, [[[1, 3], "I*pi"], [[2, 4], "-1/7"]]],
+        [4, 2, [[[1, 3], "-I*pi"], [[2, 4], "1/7"]]],
+        [1, 4, [[[1, 4], "5/4"], [[2, 3], "pi - I"]]],
+        [4, 1, [[[1, 4], "-5/4"], [[2, 3], "I - pi"]]],
+        [2, 3, [[[1, 4], "2"], [[2, 3], "1/pi**2"]]],
+        [3, 2, [[[1, 4], "-2"], [[2, 3], "-1/pi**2"]]],
+    ],
+}
+PINNED_MODEL_FILE = [  # (genus, stdout line) on PI_AND_I_MODEL
+    ('euler',
+     '{"command": "genus", "genus": "euler", '
+     '"integral": "-2*pi**2/21 + pi*(13/9 + 2*I) - 4/3 - 4*I/3 + 2*I/(3*pi) + 5/(6*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "-1/28 + (13/24 + 3*I/4)/pi + (-1/2 - I/2)/pi**2 + I/(4*pi**3) + 5/(16*pi**4)", '
+     '"version": "0.1.0"}'),
+    ('ahat',
+     '{"command": "genus", "genus": "ahat", '
+     '"integral": "pi**2/6 + pi*(-5/72 - 5*I/189) + I/72 - 1/(36*pi) - 1/(9*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "1/16 + (-5/192 - 5*I/504)/pi + I/(192*pi**2) - 1/(96*pi**3) - 1/(24*pi**4)", '
+     '"version": "0.1.0"}'),
+    ('lgenus',
+     '{"command": "genus", "genus": "lgenus", '
+     '"integral": "-4*pi**2/3 + pi*(5/9 + 40*I/189) - I/9 + 2/(9*pi) + 8/(9*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "-1/2 + (5/24 + 5*I/63)/pi - I/(24*pi**2) + 1/(12*pi**3) + 1/(3*pi**4)", '
+     '"version": "0.1.0"}'),
+    ('pontryagin',
+     '{"command": "genus", "genus": "pontryagin", '
+     '"integral": "-4*pi**2 + pi*(5/3 + 40*I/63) - I/3 + 2/(3*pi) + 8/(3*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "-3/2 + (5/8 + 5*I/21)/pi - I/(8*pi**2) + 1/(4*pi**3) + pi**(-4)", '
+     '"version": "0.1.0"}'),
+    ('chern',
+     '{"command": "genus", "genus": "chern", '
+     '"integral": "4*pi**2 + pi*(-5/3 - 40*I/63) + I/3 - 2/(3*pi) - 8/(3*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "3/2 + (-5/8 - 5*I/21)/pi + I/(8*pi**2) - 1/(4*pi**3) - 1/pi**4", '
+     '"version": "0.1.0"}'),
+    ('todd',
+     '{"command": "genus", "genus": "todd", '
+     '"integral": "pi**2/3 + pi*(-5/36 - 10*I/189) + I/36 - 1/(18*pi) - 2/(9*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "1/8 + (-5/96 - 5*I/252)/pi + I/(96*pi**2) - 1/(48*pi**3) - 1/(12*pi**4)", '
+     '"version": "0.1.0"}'),
+    ('chern_char',
+     '{"command": "genus", "genus": "chern_char", '
+     '"integral": "-4*pi**2 + pi*(5/3 + 40*I/63) - I/3 + 2/(3*pi) + 8/(3*pi**2)", '
+     '"model": "pi-and-I", "schema": "spingeo-report/1", '
+     '"top_coefficient": "-3/2 + (5/8 + 5*I/21)/pi - I/(8*pi**2) + 1/(4*pi**3) + pi**(-4)", '
+     '"version": "0.1.0"}'),
+]
+
+
+class TestPinnedGenusOutput:
+    @pytest.mark.parametrize("name, model, radius, top, integral", PINNED_BUILT_IN)
+    def test_built_in_model(self, capsys, name, model, radius, top, integral):
+        argv = ["genus", "--name", name, "--model", model, "--radius", radius, "--format", "json"]
+        assert run_cli(capsys, argv) == (0, GENUS_JSON % (name, integral, MODEL_NAMES[model], radius, top))
+
+    @pytest.mark.parametrize("name, line", PINNED_MODEL_FILE)
+    def test_model_file_with_pi_and_i(self, capsys, tmp_path, name, line):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(PI_AND_I_MODEL))
+        argv = ["genus", "--name", name, "--model-file", str(path), "--format", "json"]
+        assert run_cli(capsys, argv) == (0, line + "\n")
+
+
 class TestCech:
     def test_torus_spin_structures(self, capsys):
         code, out = run_cli(capsys, ["cech", "--nerve", "torus", "--w2", "--format", "json"])
@@ -336,6 +433,17 @@ class TestIndex:
         code, _ = run_cli(capsys, ["index", "--model", "klein"])
         assert code == 2
 
+    @pytest.mark.parametrize("model, options", [
+        ("dlambda", ["--lambda", "0.5", "--cutoff", "12"]),
+        ("sphere2", ["--lmax", "40"]),
+        ("torus2", ["--lmax", "40"]),
+        ("torus_dirac", ["--delta", "0,0", "--cutoff", "12"]),
+    ])
+    def test_omitted_options_take_their_model_defaults(self, capsys, model, options):
+        for fmt in ("human", "json"):
+            want = run_cli(capsys, ["index", "--model", model, *options, "--format", fmt])
+            assert want[0] == 0 and run_cli(capsys, ["index", "--model", model, "--format", fmt]) == want
+
     def test_bad_spin_structure_exits_2(self, capsys):
         code = main(["index", "--model", "torus_dirac", "--delta", "0.3,0"])
         captured = capsys.readouterr()
@@ -405,6 +513,16 @@ class TestUsageErrors:
             (["index", "--model", "torus_dirac", "--cutoff", "100000"], "cutoff must be at most 1200, not 100000"),
             (["index", "--model", "torus2", "--lmax", "1201"], "cutoff must be at most 1200, not 1201"),
             (["index", "--model", "sphere2", "--lmax", "2000001"], "l_max must be at most 2000000, not 2000001"),
+            (["index", "--model", "sphere2", "--cutoff", "12"], "--cutoff applies to --model dlambda and torus_dirac"),
+            (["index", "--model", "torus2", "--cutoff", "999999999"], "dlambda and torus_dirac only, not torus2"),
+            (["index", "--model", "dlambda", "--lmax", "40"], "--lmax applies to --model sphere2 and torus2 only"),
+            (["index", "--model", "torus_dirac", "--lmax", "3"], "--lmax applies to --model sphere2 and torus2 only"),
+            (["index", "--model", "sphere2", "--delta", "0.3,7"], "--delta applies to --model torus_dirac only"),
+            (["index", "--model", "dlambda", "--delta", "0,0"], "--delta applies to --model torus_dirac only"),
+            (["index", "--model", "torus2", "--lambda", "nan"], "--lambda applies to --model dlambda only, not torus2"),
+            (["index", "--model", "torus_dirac", "--lambda", "0.5"], "--lambda applies to --model dlambda only"),
+            (["index", "--model", "sphere2", "--cutoff", "999999999", "--delta", "0.3,7", "--lambda", "nan",
+              "--format", "json"], "--lambda applies to --model dlambda only, not sphere2"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(self, capsys, argv, message):
