@@ -537,7 +537,7 @@ def genus_eval(name: str, F: FormMatrix) -> FormPoly:
     if name == "euler":
         if not F.is_antisymmetric():
             raise ValueError("Euler class needs an antisymmetric curvature")
-        return form_pfaffian(F) * PiLaurent({-(F.n // 2): Fraction(1, 2 ** (F.n // 2))})
+        return (FormPoly(F.m) + pfaffian(F.entries)) * PiLaurent({-(F.n // 2): Fraction(1, 2 ** (F.n // 2))})
     if name != "chern_char" and name not in _LOG_GENERA:
         raise ValueError(f"unknown genus {name!r}")
     if name in _LOG_GENERA and _LOG_GENERA[name][0] != 1 and not F.is_antisymmetric():
