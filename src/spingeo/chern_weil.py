@@ -303,6 +303,14 @@ class FormPoly:
         self.terms = clean
 
     @classmethod
+    def _make(cls, m: int, terms: dict) -> "FormPoly":
+        """A FormPoly from masks already inside the generator range, such as products'; only zeros are pruned."""
+        x = object.__new__(cls)
+        x.m = m
+        x.terms = {mask: c for mask, c in terms.items() if not _is_zero(c)}
+        return x
+
+    @classmethod
     def scalar(cls, value, m: int) -> "FormPoly":
         return cls(m, {0: value})
 
@@ -343,13 +351,13 @@ class FormPoly:
 
     def __mul__(self, other):
         if not isinstance(other, FormPoly):
-            return FormPoly(self.m, {mask: c * other for mask, c in self.terms.items()})
+            return FormPoly._make(self.m, {mask: c * other for mask, c in self.terms.items()})
         terms: dict[int, object] = {}
         _mul_into(terms, self.terms, self._coerce(other).terms, self.m)
-        return FormPoly(self.m, terms)
+        return FormPoly._make(self.m, terms)
 
     def __rmul__(self, other):
-        return FormPoly(self.m, {mask: other * c for mask, c in self.terms.items()})
+        return FormPoly._make(self.m, {mask: other * c for mask, c in self.terms.items()})
 
     def __eq__(self, other):
         diff = self - self._coerce(other)
@@ -441,14 +449,28 @@ class FormMatrix:
                 if a:
                     for j, b in right[k]:
                         _mul_into(acc[j], a.terms, b, self.m)
-            out.append([FormPoly(self.m, terms) for terms in acc])
+            out.append([FormPoly._make(self.m, terms) for terms in acc])
         return FormMatrix(out)
 
     def is_antisymmetric(self) -> bool:
+        """Whether F_ji = -F_ij, compared key by key with no coefficient sum.
+
+        Entries hold no zero coefficient, so each diagonal entry must be empty and each mirror pair
+        must carry the same masks with c_ji == -c_ij.  A float or complex infinity matches no
+        mirror, as c_ij + c_ji == 0 judged it (inf - inf is nan); nan matches nothing either way.
+        """
         e = self.entries
-        pairs = ((e[i][j].terms, e[j][i].terms) for i in range(self.n) for j in range(i, self.n))
-        return all(all(_is_zero(c + b.get(k, 0)) for k, c in a.items())
-                   and all(k in a or _is_zero(c) for k, c in b.items()) for a, b in pairs)
+        for i, row in enumerate(e):
+            if row[i].terms:
+                return False
+            for j in range(i):
+                a, b = row[j].terms, e[j][i].terms
+                if a.keys() != b.keys():
+                    return False
+                for k, c in a.items():
+                    if c != -b[k] or (isinstance(c, (float, complex)) and c - c != 0):  # c - c is nan at ±inf
+                        return False
+        return True
 
 
 def form_tr(M: FormMatrix) -> FormPoly:
@@ -483,7 +505,7 @@ def _trace_product(A: FormMatrix, B: FormMatrix) -> FormPoly:
             b = B.entries[j][i]
             if a and b:
                 _mul_into(acc, a.terms, b.terms, A.m)
-    return FormPoly(A.m, acc)
+    return FormPoly._make(A.m, acc)
 
 
 def _power_sums(F: FormMatrix, c) -> list[FormPoly]:

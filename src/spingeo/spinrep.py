@@ -206,7 +206,8 @@ class ExteriorModule:
     matrices on request, so n is at most :attr:`MAX_N`.
     """
 
-    #: Largest n: one dense real 2^12 × 2^12 matrix, as the Berezin left side scatters, is 128 MiB.
+    #: Largest n: the Berezin left side scatters one dense real 2^12 × 2^12 matrix (128 MiB), and a
+    #: draw at n = 12 takes 1.2–1.5 s with a peak RSS of 359 MB (one BLAS thread, 2-vCPU host).
     MAX_N = 12
 
     def __init__(self, n: int):
@@ -224,7 +225,7 @@ class ExteriorModule:
             sigma = self._grading[self._index & (bit - 1)]
             self._ct.append((sigma, bit))
             self._c.append((np.where(self._index & bit, -sigma, sigma), bit))
-        self._pairing = None
+        self._pairing = self._blocks = None
 
     def _word(self, gens, indices) -> tuple[np.ndarray, int]:
         """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, where gens[i-1] = (w_i, m_i) is M_i's pair."""
@@ -250,6 +251,20 @@ class ExteriorModule:
             perm = self._index ^ mask
             self._pairing = phase * w * self._grading[perm], perm
         return self._pairing
+
+    def _eigenspace_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, π(S), β): orthonormal bases of the ±1 eigenspaces E± of Γ' = 2^{n/2} γ c(ω_C), for even n.
+
+        Γ' e_s = β[s] e_{π(s)} with π(s) = s ⊕ (all bits) and Γ'² = I, so β[s] β[π(s)] = 1, |β| = 1 and
+        E± has the basis (e_s ± β[s] e_{π(s)})/√2, one s per pair {s, π(s)}: S holds the subsets without
+        the top bit, row 0 the even and row 1 the odd ones, each ascending and 2^{n-2} long.  Built on
+        the first call and shared by later ones, which only read it."""
+        if self._blocks is None:
+            g, perm = self._volume_pairing()
+            low = self._index[: self.dim // 2]
+            S = np.stack([low[self._grading[low] > 0], low[self._grading[low] < 0]])
+            self._blocks = S, perm[S], g[S] * 2.0 ** (self.n / 2)
+        return self._blocks
 
     @property
     def gamma(self) -> np.ndarray:
@@ -306,12 +321,15 @@ def ahat_matrix_det_sqrt(B: np.ndarray) -> float:
     (θ_j² are the eigenvalues of -B² = BᵀB, each appearing twice),
     Â(±iθ_j) = (θ_j/2)/sin(θ_j/2), so the square root that is analytic in B
     with value 1 at B = 0 is Π_j (θ_j/2)/sin(θ_j/2).  Raises ``ValueError``
-    at its poles, sin(θ_j/2) = 0 with θ_j ≠ 0.
+    for a non-finite or non-antisymmetric B and at the poles, sin(θ_j/2) = 0
+    with θ_j ≠ 0.
     """
     B = np.asarray(B, dtype=float)
     m = B.shape[0]
     if B.shape != (m, m):
         raise ValueError("B must be square")
+    if not np.isfinite(B).all():
+        raise ValueError("B must be finite")
     if m and np.max(np.abs(B + B.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("B must be antisymmetric")
     mu = np.linalg.eigvalsh(B.T @ B)  # ascending: the θ_j² in pairs, one extra 0 if m is odd
@@ -329,39 +347,44 @@ def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
 
     The left side is a matrix exponential on the 2^n-dimensional exterior
     module: each ½ A_ij c̃(e^i) c̃(e^j) is a signed permutation, scattered into
-    one real antisymmetric quadratic (:func:`berezin_quadratic`).  Each word
-    keeps parity, so quad is block-diagonal over even and odd subsets; on each
-    block i·quad is Hermitian and exp(quad) = V e^{-iw} Vᴴ from its
-    eigendecomposition i·quad = V diag(w) Vᴴ.  The supertrace reads only the
-    2^n entries exp(quad)[s, π(s)] that γ c(ω_C) pairs with, and for even n
-    π(s) = s ⊕ (all bits) keeps parity, so each block gives its own share.
-    The right side uses the Pfaffian and the closed form of
-    :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when A has
-    the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises ``ValueError``
-    where the right side has a pole.
+    one real antisymmetric quadratic (:func:`berezin_quadratic`).  The
+    supertrace is str F = tr(Γ F) with Γ = 2^{-n/2} γ c(ω_C).  For even n,
+    c(ω_C) is a product of an even number of c's, each anticommuting with each
+    c̃, and γ anticommutes with each c̃, so Γ anticommutes with each c̃ and
+    commutes with every c̃(e^i) c̃(e^j), while Γ² = 2^{-n}.  So quad keeps the
+    eigenspaces E± of 2^{n/2} Γ, and the left side is
+    2^{-n/2} (tr e^{quad}|E₊ - tr e^{quad}|E₋).  Each word keeps parity too,
+    so quad restricted to E± splits again over even and odd subsets into four
+    2^{n-2}-square anti-Hermitian blocks K (:meth:`ExteriorModule._eigenspace_blocks`),
+    and tr e^K = Σ e^{-iw} over the eigenvalues w of the Hermitian i·K: no
+    eigenvectors are formed.  The right side uses the Pfaffian and the closed
+    form of :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when
+    A has the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises
+    ``ValueError`` for a non-finite or non-antisymmetric A and where the
+    right side has a pole.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or n % 2:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
         raise ValueError("A must be square of even size")
-    return _berezin_sides(A, ExteriorModule(n))
+    return _berezin_sides(A, ExteriorModule(A.shape[0]))
 
 
 def _berezin_sides(A: np.ndarray, module: ExteriorModule) -> tuple[complex, complex]:
     """:func:`berezin_supertrace_exp` of a float A on ``module``, the exterior module of A's size,
-    which calls on matrices of one size share with its volume pairing."""
+    which calls on matrices of one size share with its eigenspace blocks."""
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
     quad = berezin_quadratic(A, module)
-    g, _ = module._volume_pairing()
-    # blocks[0] and blocks[1]: the even and the odd subsets, each ascending
-    blocks = np.argsort(module._grading < 0, kind="stable").reshape(2, module.dim // 2)
-    w, V = np.linalg.eigh(1j * quad[blocks[:, :, None], blocks[:, None, :]])  # one eigh per block
-    # exp(quad)[s, π(s)] = Σ_k V[s, k] e^{-iw_k} conj(V[π(s), k]), where
-    # π(s) = 2^n - 1 - s reverses each ascending block
-    lhs = np.sum(g[blocks] * np.sum((V * np.exp(-1j * w)[:, None, :]) * V[:, ::-1].conj(), axis=2), axis=1)
+    S, T, beta = module._eigenspace_blocks()
+    # on the basis (e_t ± β[t] e_{π(t)})/√2 of E±, K±[u, t] = quad[u, t] ± β[t] quad[u, π(t)]
+    same, paired = quad[S[:, :, None], S[:, None, :]], quad[S[:, :, None], T[:, None, :]] * beta[:, None, :]
+    w = np.linalg.eigvalsh(1j * np.stack([same + paired, same - paired]))  # (E±, parity, 2^{n-2})
+    plus, minus = np.exp(-1j * w).sum(axis=(1, 2))
+    lhs = RELATIVE_SUPERTRACE_NORMALIZATION(module.n) * (plus - minus)
     rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(A.T - A)  # -2A, exactly antisymmetric
-    return complex(lhs[0]) + complex(lhs[1]), complex(rhs)
+    return complex(lhs), complex(rhs)
 
 
 def berezin_quadratic(A: np.ndarray, module: ExteriorModule) -> np.ndarray:

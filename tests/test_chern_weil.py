@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -16,6 +17,7 @@ from spingeo.chern_weil import (
     PiLaurent,
     _is_zero,
     _power_sums,
+    _trace_product,
     bernoulli,
     curvature_model,
     form_pfaffian,
@@ -399,6 +401,30 @@ class TestFormMatrixOps:
         assert E.entries[0][1] == N.entries[0][1]
         assert E.entries[1][0].is_zero()
 
+    def test_products_skip_the_validating_constructor(self, monkeypatch):
+        # a product's masks are in range by construction: FormPoly._make only prunes zeros
+        rng = random.Random(21)
+        M = self._random_form_matrix(rng, 4, 6, zero_share=0.3)
+        p, q = M.entries[0][0], M.entries[1][2]
+        want = [
+            [[FormPoly(6, e.terms) for e in row] for row in (M @ M).entries],
+            FormPoly(6, _trace_product(M, M).terms),
+            *(FormPoly(6, r.terms) for r in (p * q, p * 3, 3 * p, p * 0)),
+        ]
+        calls = [0]
+        init = FormPoly.__init__
+
+        def counting_init(self, *args):
+            calls[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(FormPoly, "__init__", counting_init)
+        got = [(M @ M).entries, _trace_product(M, M), p * q, p * 3, 3 * p, p * 0]
+        assert calls[0] == 0
+        assert [[e.terms for e in row] for row in got[0]] == [[e.terms for e in row] for row in want[0]]
+        assert [r.terms for r in got[1:]] == [r.terms for r in want[1:]]
+        assert not got[-1].terms
+
 
 class TestPfaffian:
     def test_2x2(self):
@@ -480,6 +506,66 @@ def curvatures(draw, antisymmetric: bool, even: bool = False):
                 if antisymmetric:
                     F.entries[j][i] = -F.entries[i][j]
     return F
+
+
+def reference_is_antisymmetric(F: FormMatrix) -> bool:
+    """F_ij + F_ji = 0 entry by entry, one coefficient sum per mask, as the check once read."""
+    e = F.entries
+    pairs = ((e[i][j].terms, e[j][i].terms) for i in range(F.n) for j in range(i, F.n))
+    return all(all(_is_zero(c + b.get(k, 0)) for k, c in a.items())
+               and all(k in a or _is_zero(c) for k, c in b.items()) for a, b in pairs)
+
+
+COEFFICIENT_KINDS = {
+    "int": lambda k: 2 * k - 5,
+    "Fraction": lambda k: Fraction(2 * k - 5, 3),
+    "QI": lambda k: QI(Fraction(k, 2), -k),
+    "PiLaurent": lambda k: PiLaurent({-1: QI(k, 1), 2: QI(Fraction(1, k))}),
+    "float": lambda k: 0.1 * k,
+    "complex": lambda k: complex(0.1 * k, -k),
+    "nan": lambda k: math.nan if k == 3 else 0.1 * k,
+    "inf": lambda k: math.inf if k == 3 else 0.1 * k,
+    "complex inf": lambda k: complex(1.5, -math.inf) if k == 3 else complex(k, 1),
+}
+
+
+class TestIsAntisymmetric:
+    @staticmethod
+    def _matrix(kind: str) -> FormMatrix:
+        """4 x 4 with F_ji = -F_ij: one or two masks per entry above the diagonal, one entry zero."""
+        coefficient, m = COEFFICIENT_KINDS[kind], 6
+        F = FormMatrix.zero(4, m)
+        k = 0
+        for i, j in itertools.combinations(range(4), 2):
+            if (i, j) != (1, 3):
+                k += 1
+                F.entries[i][j] = FormPoly(m, {3 << i: coefficient(k), 1 << i | 1 << (j + 2): coefficient(k + 7)})
+                F.entries[j][i] = -F.entries[i][j]
+        return F
+
+    @pytest.mark.parametrize("kind", COEFFICIENT_KINDS)
+    def test_same_verdict_as_the_coefficient_sums(self, kind):
+        F = self._matrix(kind)
+        assert F.is_antisymmetric() == reference_is_antisymmetric(F) == (kind not in ("nan", "inf", "complex inf"))
+        e, m = F.entries, F.m
+        mutants = []
+        for i, j, entry in [
+            (2, 0, e[2][0] * 2),  # a mirror that is not the negative
+            (2, 0, e[2][0] + FormPoly.monomial((5, 6), m, COEFFICIENT_KINDS[kind](1))),  # an extra mask
+            (2, 0, FormPoly(m, dict(list(e[2][0].terms.items())[:1]))),  # a missing mask
+            (3, 1, FormPoly.monomial((1, 2), m, COEFFICIENT_KINDS[kind](2))),  # a mirror of a zero entry
+            (1, 1, FormPoly.monomial((3, 4), m, COEFFICIENT_KINDS[kind](4))),  # a diagonal entry
+        ]:
+            G = FormMatrix([list(row) for row in e])
+            G.entries[i][j] = entry
+            mutants.append(G)
+        for G in mutants:
+            assert G.is_antisymmetric() is reference_is_antisymmetric(G) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda skew: curvatures(antisymmetric=skew)))
+    def test_same_verdict_on_drawn_curvatures(self, F):
+        assert F.is_antisymmetric() == reference_is_antisymmetric(F)
 
 
 class TestPowerSumsAgainstReference:

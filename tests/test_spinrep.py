@@ -520,6 +520,55 @@ class TestBerezin:
         with pytest.raises(ValueError):
             berezin_supertrace_exp(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # an antisymmetric pair of nan or ±inf entries has nan in A + Aᵀ, which no tolerance test rejects
+        A = np.array([[0.0, bad], [-bad, 0.0]])
+        with pytest.raises(ValueError, match="A must be finite"):
+            berezin_supertrace_exp(A)
+        with pytest.raises(ValueError, match="B must be finite"):
+            ahat_matrix_det_sqrt(A)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (2,)])
+    def test_shapes_other_than_square_of_even_size_rejected(self, shape):
+        with pytest.raises(ValueError, match="A must be square of even size"):
+            berezin_supertrace_exp(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_volume_pairing_commutes_with_the_quadratic(self, n):
+        # Γ e_s = g[s] e_{π(s)}, so (Γ Q)[s] = g[π(s)] Q[π(s)] and (Q Γ)[:, t] = Q[:, π(t)] g[t]
+        module = ExteriorModule(n)
+        g, perm = module._volume_pairing()
+        B = np.random.default_rng(200 + n).normal(size=(n, n))
+        quad = berezin_quadratic(B - B.T, module)
+        assert np.array_equal(g[perm][:, None] * quad[perm], quad[:, perm] * g[None, :])
+        assert not (perm == module._index).any()
+        if n % 2 == 0:
+            assert np.array_equal(g * g[perm], np.full(module.dim, 2.0**-n))  # Γ² = 2^{-n} I
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_eigenspace_bases_are_orthonormal(self, n):
+        # the four bases (e_s ± β[s] e_{π(s)})/√2, each in one parity block, are together one unitary
+        module = ExteriorModule(n)
+        S, T, beta = module._eigenspace_blocks()
+        g, perm = module._volume_pairing()
+        gamma = np.zeros((module.dim, module.dim), dtype=complex)
+        gamma[perm, module._index] = g * 2.0 ** (n / 2)
+        odd = module._grading < 0
+        columns = []
+        for sign in (1, -1):
+            for parity in range(2):
+                assert S[parity].size == T[parity].size == 1 << (n - 2)
+                V = np.zeros((module.dim, S[parity].size), dtype=complex)
+                cols = np.arange(S[parity].size)
+                V[S[parity], cols] = 1 / math.sqrt(2)
+                V[T[parity], cols] = sign * beta[parity] / math.sqrt(2)
+                assert not V[odd != bool(parity)].any()
+                assert np.abs(gamma @ V - sign * V).max() <= 1e-15
+                columns.append(V)
+        V = np.hstack(columns)
+        assert np.abs(V.conj().T @ V - np.eye(module.dim)).max() <= 1e-15
+
     @pytest.mark.parametrize("n, draws", [(2, 6), (4, 6), (6, 4), (8, 2)])
     def test_left_side_matches_the_dense_reference(self, n, draws):
         rng = np.random.default_rng(100 + n)
