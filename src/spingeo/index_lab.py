@@ -103,7 +103,7 @@ class SpectralModel(Record):
 #: Largest cutoff of :func:`dlambda_model` and of the torus models, and largest l_max of
 #: :func:`sphere2_hodge_model`: each build takes about 1 s there (2 cores, Python 3.11).  They
 #: bound time, not memory: at the limits a build peaks at 236 MB RSS for D_λ, 161 MB for either
-#: torus model and 565 MB on S², about 140 bytes a row.
+#: torus model and 565 MB on S², 110–170 bytes a row.
 DLAMBDA_MAX_CUTOFF, TORUS_MAX_CUTOFF, SPHERE2_MAX_L = 500_000, 1_200, 2_000_000
 
 
