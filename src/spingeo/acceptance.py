@@ -231,11 +231,10 @@ def criterion_twisted_adjoint(seed: int = 0) -> CheckResult:
 def criterion_berezin(seed: int = 0) -> CheckResult:
     """Quadratic-exponential supertraces match the Pfaffian closed form."""
     worst = 0.0
-    module = spinrep.ExteriorModule(2)
     for lam10 in range(1, 21):
         lam = lam10 / 10.0
         A = np.array([[0.0, lam], [-lam, 0.0]])
-        lhs, rhs = spinrep._berezin_sides(A, module)
+        lhs, rhs = spinrep._berezin_sides(A)
         worst = max(worst, abs(lhs - rhs), abs(lhs - (-2j * math.sin(lam))))
     worst = max(worst, spinrep.berezin_residual(4, 20, seed))
     return CheckResult("Berezin/Pfaffian identity", worst <= spinrep.BEREZIN_TOL, f"worst |lhs-rhs| = {worst:.2e}")

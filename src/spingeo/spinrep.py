@@ -18,7 +18,9 @@ consistency check in the test suite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 # clifford first: compiled from source on top of numpy's heap, it raised `spinrep`'s peak RSS 0.6 MB
@@ -148,8 +150,6 @@ def spin_rotation(i: int, j: int, t: float, sig: Signature) -> Multivector:
     """cos(t) + sin(t) e_i e_j; its twisted adjoint is rotation by 2t in (i,j)."""
     if i == j:
         raise ValueError("spin rotation needs distinct axes")
-    import math
-
     sig = Signature(*sig)
     return Multivector.scalar(complex(math.cos(t)), sig) + Multivector.blade(
         sorted((i, j)), sig, complex(math.sin(t)) * (1 if i < j else -1)
@@ -206,8 +206,8 @@ class ExteriorModule:
     matrices on request, so n is at most :attr:`MAX_N`.
     """
 
-    #: Largest n: the Berezin left side scatters one dense real 2^12 × 2^12 matrix (128 MiB), and a
-    #: draw at n = 12 takes 1.2–1.5 s with a peak RSS of 359 MB (one BLAS thread, 2-vCPU host).
+    #: Largest n: ``c``, ``c_word``, ``gamma`` and the other matrices are built dense on request,
+    #: and at n = 12 each is a 4096 × 4096 complex matrix of 256 MiB.
     MAX_N = 12
 
     def __init__(self, n: int):
@@ -225,7 +225,7 @@ class ExteriorModule:
             sigma = self._grading[self._index & (bit - 1)]
             self._ct.append((sigma, bit))
             self._c.append((np.where(self._index & bit, -sigma, sigma), bit))
-        self._pairing = self._blocks = None
+        self._pairing = None
 
     def _word(self, gens, indices) -> tuple[np.ndarray, int]:
         """(w, m) with M_{i_1} ... M_{i_k} e_s = w[s] e_{s ⊕ m}, where gens[i-1] = (w_i, m_i) is M_i's pair."""
@@ -251,20 +251,6 @@ class ExteriorModule:
             perm = self._index ^ mask
             self._pairing = phase * w * self._grading[perm], perm
         return self._pairing
-
-    def _eigenspace_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, π(S), β): orthonormal bases of the ±1 eigenspaces E± of Γ' = 2^{n/2} γ c(ω_C), for even n.
-
-        Γ' e_s = β[s] e_{π(s)} with π(s) = s ⊕ (all bits) and Γ'² = I, so β[s] β[π(s)] = 1, |β| = 1 and
-        E± has the basis (e_s ± β[s] e_{π(s)})/√2, one s per pair {s, π(s)}: S holds the subsets without
-        the top bit, row 0 the even and row 1 the odd ones, each ascending and 2^{n-2} long.  Built on
-        the first call and shared by later ones, which only read it."""
-        if self._blocks is None:
-            g, perm = self._volume_pairing()
-            low = self._index[: self.dim // 2]
-            S = np.stack([low[self._grading[low] > 0], low[self._grading[low] < 0]])
-            self._blocks = S, perm[S], g[S] * 2.0 ** (self.n / 2)
-        return self._blocks
 
     @property
     def gamma(self) -> np.ndarray:
@@ -332,71 +318,80 @@ def ahat_matrix_det_sqrt(B: np.ndarray) -> float:
         raise ValueError("B must be finite")
     if m and np.max(np.abs(B + B.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("B must be antisymmetric")
-    mu = np.linalg.eigvalsh(B.T @ B)  # ascending: the θ_j² in pairs, one extra 0 if m is odd
-    if m % 2:
-        mu = mu[1:]
-    theta = np.sqrt(np.clip((mu[0::2] + mu[1::2]) / 2, 0.0, None))
-    poles = theta[(theta > np.pi) & (np.abs(np.sin(theta / 2)) <= _POLE_TOL)]
-    if poles.size:
-        raise ValueError(f"det^1/2 Â(B) has a pole: sin(θ/2) = 0 at θ = {poles[0]:.12g}")
-    return float(np.prod(1.0 / np.sinc(theta / (2 * np.pi))))
+    mu = np.linalg.eigvalsh(B.T @ B).tolist()  # ascending: the θ_j² in pairs, one extra 0 if m is odd
+    det_sqrt = 1.0
+    for low, high in zip(mu[m % 2 :: 2], mu[m % 2 + 1 :: 2]):
+        theta = math.sqrt(max((low + high) / 2, 0.0))
+        if theta:
+            half = math.pi * (theta / (2 * math.pi))  # θ/2 rounded as numpy.sinc rounds it
+            sine = math.sin(half)
+            if theta > math.pi and abs(sine) <= _POLE_TOL:
+                raise ValueError(f"det^1/2 Â(B) has a pole: sin(θ/2) = 0 at θ = {theta:.12g}")
+            det_sqrt *= 1.0 / (sine / half)
+    return det_sqrt
 
 
 def berezin_supertrace_exp(A: np.ndarray) -> tuple[complex, complex]:
-    """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A).
+    """Both sides of str^{E/S} exp(½ A_ij c̃(e^i) c̃(e^j)) = Pf(-2iA)/det^{1/2}Â(-2A), n ≤ 20.
 
-    The left side is a matrix exponential on the 2^n-dimensional exterior
-    module: each ½ A_ij c̃(e^i) c̃(e^j) is a signed permutation, scattered into
-    one real antisymmetric quadratic (:func:`berezin_quadratic`).  The
-    supertrace is str F = tr(Γ F) with Γ = 2^{-n/2} γ c(ω_C).  For even n,
-    c(ω_C) is a product of an even number of c's, each anticommuting with each
-    c̃, and γ anticommutes with each c̃, so Γ anticommutes with each c̃ and
-    commutes with every c̃(e^i) c̃(e^j), while Γ² = 2^{-n}.  So quad keeps the
-    eigenspaces E± of 2^{n/2} Γ, and the left side is
-    2^{-n/2} (tr e^{quad}|E₊ - tr e^{quad}|E₋).  Each word keeps parity too,
-    so quad restricted to E± splits again over even and odd subsets into four
-    2^{n-2}-square anti-Hermitian blocks K (:meth:`ExteriorModule._eigenspace_blocks`),
-    and tr e^K = Σ e^{-iw} over the eigenvalues w of the Hermitian i·K: no
-    eigenvectors are formed.  The right side uses the Pfaffian and the closed
-    form of :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when
-    A has the rotation blocks λ_j.  Returns ``(lhs, rhs)``; raises
-    ``ValueError`` for a non-finite or non-antisymmetric A and where the
-    right side has a pole.
+    E ≅ S ⊗ S* as a Cl(n)-bimodule (c on the spinor module S, c̃ on S*), and str^{E/S} is the
+    supertrace over the twisting factor (Berline–Getzler–Vergne, §3.2).  So the left side is
+    tr(c(ω_C) e^Q) on S, with Q = Σ_{i<j} A_ij c(e_i) c(e_j): Q is even and c(ω_C) diagonal, so Q has
+    one block on each of S± (:func:`_chirality_plan`), and tr e^Q|S± = Σ e^{-iw} over the eigenvalues
+    w of the Hermitian i·Q|S±.  The right side uses the Pfaffian and the closed form of
+    :func:`ahat_matrix_det_sqrt`, so it equals Π_j (-2i sin λ_j) when A has the rotation blocks λ_j.
+    Returns ``(lhs, rhs)``; raises ``ValueError`` for a non-finite or non-antisymmetric A, beyond
+    :attr:`SpinorSpace.MAX_N` and where the right side has a pole.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 or not A.size:
         raise ValueError("A must be square of even size")
-    return _berezin_sides(A, ExteriorModule(A.shape[0]))
+    return _berezin_sides(A)
 
 
-def _berezin_sides(A: np.ndarray, module: ExteriorModule) -> tuple[complex, complex]:
-    """:func:`berezin_supertrace_exp` of a float A on ``module``, the exterior module of A's size,
-    which calls on matrices of one size share with its eigenspace blocks."""
+def _berezin_sides(A: np.ndarray) -> tuple[complex, complex]:
+    """:func:`berezin_supertrace_exp` of a float A of even size, on the cached plan of its size."""
     if not np.isfinite(A).all():
         raise ValueError("A must be finite")
     if np.max(np.abs(A + A.T)) > _ANTISYMMETRY_TOL:
         raise ValueError("A must be antisymmetric")
-    quad = berezin_quadratic(A, module)
-    S, T, beta = module._eigenspace_blocks()
-    # on the basis (e_t ± β[t] e_{π(t)})/√2 of E±, K±[u, t] = quad[u, t] ± β[t] quad[u, π(t)]
-    same, paired = quad[S[:, :, None], S[:, None, :]], quad[S[:, :, None], T[:, None, :]] * beta[:, None, :]
-    w = np.linalg.eigvalsh(1j * np.stack([same + paired, same - paired]))  # (E±, parity, 2^{n-2})
-    plus, minus = np.exp(-1j * w).sum(axis=(1, 2))
-    lhs = RELATIVE_SUPERTRACE_NORMALIZATION(module.n) * (plus - minus)
+    _, _, rows, cols, iw, starts, dest = _chirality_plan(A.shape[0])
+    half = iw.shape[1] // 2
+    iq = np.zeros(2 * half * half, dtype=complex)
+    iq[dest] = np.add.reduceat(A[rows, cols][:, None] * iw, starts, axis=0)
+    w = np.linalg.eigvalsh(iq.reshape(2, half, half))  # (S±, 2^{n/2-1})
+    plus, minus = np.exp(-1j * w).sum(axis=1)
     rhs = pfaffian(-2j * A) / ahat_matrix_det_sqrt(A.T - A)  # -2A, exactly antisymmetric
-    return complex(lhs), complex(rhs)
+    return complex(plus - minus), complex(rhs)
 
 
-def berezin_quadratic(A: np.ndarray, module: ExteriorModule) -> np.ndarray:
-    """The real matrix of ½ Σ A_ij c̃(e^i) c̃(e^j) on ``module``, scattered word by word."""
-    quad = np.zeros((module.dim, module.dim))
-    rows, gens = module._index, module._ct
-    for (wi, mi), row in zip(gens, A.tolist()):
-        for (wj, mj), a in zip(gens, row):
-            if a != 0:
-                # the word c̃(e^i) c̃(e^j), as _word composes it: e_s ↦ wj[s] wi[s ⊕ mj] e_{s ⊕ mi ⊕ mj}
-                quad[rows ^ (mi ^ mj), rows] += 0.5 * a * (wj * wi[rows ^ mj])
-    return quad
+@cache
+def _chirality_plan(n: int) -> tuple:
+    """(χ, pos, rows, cols, i·w, starts, dest): how i·Q of :func:`_berezin_sides` scatters on S.
+
+    The word of all n generators has mask 0, so c(ω_C) is diagonal: Fock vector s lies in S₊ for
+    χ[s] = 0 and in S₋ for χ[s] = 1, at position pos[s] = s >> 1 of its block, since c(e_1) is odd
+    and moves e_s to e_{s ⊕ 1}.  (rows[p], cols[p]) is the p-th pair i < j, in the order of the mask
+    m of c(e_i) c(e_j) e_s = w[s] e_{s ⊕ m}; row p of ``i·w`` is i times that w, and ``starts``
+    holds the first pair of each mask.  The pairs of one mask sum to one vector, whose entry s lands
+    at flat index dest[mask, s] = (χ[s], pos[s ⊕ m], pos[s]) of the stacked (2, 2^{n/2-1},
+    2^{n/2-1}) blocks: Q is even, so it never crosses them.  Built once per even n ≤
+    :attr:`SpinorSpace.MAX_N`; the arrays are read-only.
+    """
+    space = SpinorSpace(n)
+    w, _ = space._word(range(1, n + 1))
+    chirality = (((1j) ** (n // 2) * w).real < 0).astype(np.intp)
+    index, half = np.arange(space.dim), space.dim // 2
+    position, gens = index >> 1, space.generators
+    pairs = sorted(combinations(range(n), 2), key=lambda ij: gens[ij[0]][1] ^ gens[ij[1]][1])
+    words = [space._word((i + 1, j + 1)) for i, j in pairs]
+    masks, starts = np.unique([m for _, m in words], return_index=True)
+    dest = (chirality * half + position[index ^ masks[:, None]]) * half + position
+    rows, cols = np.array(pairs).T
+    plan = chirality, position, rows, cols, 1j * np.array([w for w, _ in words]), starts, dest
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 # -- complex spinor representation -------------------------------------------
@@ -490,16 +485,17 @@ def chirality_residual(space: SpinorSpace) -> tuple[float, tuple[int, int]]:
 def berezin_residual(n: int, trials: int, seed: int) -> float:
     """Worst |lhs - rhs| of :func:`berezin_supertrace_exp` over seeded A = B - Bᵀ, B = 0.4·N(0, 1).
 
-    n must be even with 2 ≤ n ≤ :attr:`ExteriorModule.MAX_N`, checked before any A is drawn."""
+    n must be even with 2 ≤ n ≤ :attr:`SpinorSpace.MAX_N`, checked before any A is drawn; every
+    trial reads the one cached :func:`_chirality_plan` of n."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
     if n < 2 or n % 2:
         raise ValueError(f"the Berezin check needs an even n >= 2, not {n}")
-    module = ExteriorModule(n)  # raises beyond MAX_N
+    _chirality_plan(n)  # raises beyond SpinorSpace.MAX_N
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         B = rng.normal(size=(n, n)) * 0.4
-        lhs, rhs = _berezin_sides(B - B.T, module)
+        lhs, rhs = _berezin_sides(B - B.T)
         worst = max(worst, abs(lhs - rhs))
     return worst

@@ -78,7 +78,22 @@ class TestSpinrep:
         code, out = run_cli(capsys, ["spinrep", "14", "--check", "relations"])
         assert code == 0 and "PASS" in out
 
-    @pytest.mark.parametrize("argv", [["spinrep", "18"], ["spinrep", "20", "--trials", "0"]])
+    @pytest.mark.parametrize("argv", [["spinrep", "14", "--check", "berezin"], ["spinrep", "18"]])
+    def test_berezin_runs_past_the_exterior_module_limit(self, capsys, argv):
+        # the left side is a supertrace on the spinor module; its oracle is the right side,
+        # Pf(-2iA)/det^{1/2}Â(-2A), for each of the five seeded draws
+        code, out = run_cli(capsys, argv + ["--format", "json"])
+        data = json.loads(out)
+        assert code == 0 and data["passed"] is True
+        assert data["results"]["berezin_trials"] == 5 and data["results"]["berezin_residual"] <= 1e-10
+
+    def test_berezin_at_the_largest_n_is_quick(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["spinrep", "20", "--check", "berezin", "--format", "json"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and json.loads(out)["results"]["berezin_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("argv", [["spinrep", "22"], ["spinrep", "20", "--trials", "0"]])
     def test_bad_input_exits_2_before_any_check_runs(self, capsys, argv):
         start = time.perf_counter()
         code = main(argv)
@@ -498,9 +513,9 @@ class TestUsageErrors:
              "tail bound 19.3 at t=0.1, lmax=3 is not below 0.5"),
             (["index", "--model", "sphere2", "--lmax", "1", "--t", "2,0.5", "--format", "csv"], "at t=0.5, lmax=1"),
             (["classify", "5", "2", "--complex", "4", "--even"], "--complex N takes no signature P Q"),
-            (["spinrep", "14", "--check", "berezin"], "the exterior module is built for n <= 12, not 14"),
+            (["spinrep", "22", "--check", "berezin"], "spinor representation implemented for n <= 20, not 22"),
             (["spinrep", "22"], "spinor representation implemented for n <= 20, not 22"),
-            (["spinrep", "18"], "the exterior module is built for n <= 12, not 18"),
+            (["spinrep", "21", "--check", "berezin"], "the Berezin check needs an even n >= 2, not 21"),
             (["spinrep", "16", "--trials", "0"], "trials must be at least 1, not 0"),
             (["classify", "28570", "0"], "p + q must be at most 28569, not 28570"),
             (["classify", "10000000", "0"], "p + q must be at most 28569, not 10000000"),

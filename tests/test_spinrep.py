@@ -17,7 +17,6 @@ from spingeo.spinrep import (
     ExteriorModule,
     SpinorSpace,
     ahat_matrix_det_sqrt,
-    berezin_quadratic,
     berezin_residual,
     berezin_supertrace_exp,
     chirality_residual,
@@ -38,10 +37,11 @@ from spingeo.spinrep import (
 # -- the reference: the exterior module and the Berezin left side by dense products --
 #
 # ExteriorModule keeps each generator as a ±1 vector over the subset basis
-# and composes words on index arrays; berezin_supertrace_exp scatters the
-# quadratic from those vectors.  These build every matrix from the wedge
-# and contraction matrices and multiply them densely, as the module once
-# did, and the tests below compare the two.
+# and composes words on index arrays.  These build every matrix from the
+# wedge and contraction matrices and multiply them densely, as the module
+# once did, and the tests below compare the two.  berezin_supertrace_exp
+# computes its left side on the spinor module S; dense_berezin_lhs computes
+# it on the exterior module E ≅ S ⊗ S*, so the two agreeing checks that step.
 
 def dense_wedge(n: int, i: int) -> np.ndarray:
     """e^i ∧ · on Λ(R^n) in the subset basis; its transpose is the contraction ι_i."""
@@ -81,6 +81,19 @@ def dense_berezin_lhs(A: np.ndarray) -> complex:
     w, V = np.linalg.eigh(1j * quad)
     c_omega = (1j) ** ((n + 1) // 2) * dense_word(c, range(1, n + 1), 1 << n)
     return 2.0 ** (-n / 2) * complex(np.trace(gamma @ c_omega @ (V * np.exp(-1j * w)) @ V.conj().T))
+
+
+def berezin_quadratic(A: np.ndarray, module: ExteriorModule) -> np.ndarray:
+    """The real matrix of ½ Σ A_ij c̃(e^i) c̃(e^j) on ``module``, scattered word by word: the
+    quadratic on the exterior module E, where the left side was once computed."""
+    quad = np.zeros((module.dim, module.dim))
+    rows, gens = module._index, module._ct
+    for (wi, mi), row in zip(gens, A.tolist()):
+        for (wj, mj), a in zip(gens, row):
+            if a != 0:
+                # the word c̃(e^i) c̃(e^j), as _word composes it: e_s ↦ wj[s] wi[s ⊕ mj] e_{s ⊕ mi ⊕ mj}
+                quad[rows ^ (mi ^ mj), rows] += 0.5 * a * (wj * wi[rows ^ mj])
+    return quad
 
 
 def rotated_blocks(lams, rng) -> np.ndarray:
@@ -478,6 +491,10 @@ class TestRelativeSupertrace:
         lhs, rhs = berezin_supertrace_exp(A)
         assert abs(lhs - (-2j * math.sin(lam))) < 1e-12
         assert abs(rhs - (-2j * math.sin(lam))) < 1e-12
+        module = ExteriorModule(2)  # the left side comes from S; str^{E/S} on E must give it too
+        w, V = np.linalg.eigh(1j * berezin_quadratic(A, module))
+        on_e = relative_supertrace((V * np.exp(-1j * w)) @ V.conj().T, module)
+        assert abs(on_e - (-2j * math.sin(lam))) < 1e-12
 
     def test_odd_n_rejected(self):
         mod = ExteriorModule(3)
@@ -529,6 +546,10 @@ class TestBerezin:
         with pytest.raises(ValueError, match="B must be finite"):
             ahat_matrix_det_sqrt(A)
 
+    def test_beyond_the_spinor_module_rejected(self):
+        with pytest.raises(ValueError, match="n <= 20, not 22"):
+            berezin_supertrace_exp(np.zeros((22, 22)))
+
     @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (2,)])
     def test_shapes_other_than_square_of_even_size_rejected(self, shape):
         with pytest.raises(ValueError, match="A must be square of even size"):
@@ -548,26 +569,26 @@ class TestBerezin:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_eigenspace_bases_are_orthonormal(self, n):
-        # the four bases (e_s ± β[s] e_{π(s)})/√2, each in one parity block, are together one unitary
-        module = ExteriorModule(n)
-        S, T, beta = module._eigenspace_blocks()
-        g, perm = module._volume_pairing()
-        gamma = np.zeros((module.dim, module.dim), dtype=complex)
-        gamma[perm, module._index] = g * 2.0 ** (n / 2)
-        odd = module._grading < 0
-        columns = []
-        for sign in (1, -1):
-            for parity in range(2):
-                assert S[parity].size == T[parity].size == 1 << (n - 2)
-                V = np.zeros((module.dim, S[parity].size), dtype=complex)
-                cols = np.arange(S[parity].size)
-                V[S[parity], cols] = 1 / math.sqrt(2)
-                V[T[parity], cols] = sign * beta[parity] / math.sqrt(2)
-                assert not V[odd != bool(parity)].any()
-                assert np.abs(gamma @ V - sign * V).max() <= 1e-15
-                columns.append(V)
-        V = np.hstack(columns)
-        assert np.abs(V.conj().T @ V - np.eye(module.dim)).max() <= 1e-15
+        # the plan puts Fock vector s at position pos[s] of block χ[s]: the unit vectors of the two
+        # blocks are together one permutation matrix, c(ω_C) is +1 on block 0 and -1 on block 1,
+        # Q never crosses them, and the plan scatters exactly the two diagonal blocks of i·Q
+        chirality, position, rows, cols, iw, starts, dest = spinrep._chirality_plan(n)
+        space, half = SpinorSpace(n), 1 << (n // 2 - 1)
+        V = np.zeros((space.dim, 2, half))
+        V[np.arange(space.dim), chirality, position] = 1
+        flat = V.reshape(space.dim, space.dim)
+        assert np.array_equal(flat.T @ flat, np.eye(space.dim))
+        omega = space.c_omega()
+        assert np.array_equal(omega @ V[:, 0], V[:, 0]) and np.array_equal(omega @ V[:, 1], -V[:, 1])
+        B = np.random.default_rng(300 + n).normal(size=(n, n))
+        A = B - B.T
+        iq = 1j * sum(A[i, j] * space.c(i + 1) @ space.c(j + 1) for i, j in combinations(range(n), 2))
+        assert not (V[:, 0].T @ iq @ V[:, 1]).any() and not (V[:, 1].T @ iq @ V[:, 0]).any()
+        scattered = np.zeros(2 * half * half, dtype=complex)
+        scattered[dest] = np.add.reduceat(A[rows, cols][:, None] * iw, starts, axis=0)
+        for block in range(2):
+            want = V[:, block].T @ iq @ V[:, block]
+            assert np.abs(scattered.reshape(2, half, half)[block] - want).max() <= 1e-14
 
     @pytest.mark.parametrize("n, draws", [(2, 6), (4, 6), (6, 4), (8, 2)])
     def test_left_side_matches_the_dense_reference(self, n, draws):
@@ -578,7 +599,18 @@ class TestBerezin:
             lhs, _ = berezin_supertrace_exp(A)
             assert abs(lhs - dense_berezin_lhs(A)) <= 1e-12
 
-    @pytest.mark.parametrize("lams", [(0.3, 1.1, 2.0), (0.4, 0.9, 1.7, 2.6), (2.9, 0.05, 1.3, 0.7)])
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            (0.3, 1.1, 2.0),
+            (0.4, 0.9, 1.7, 2.6),
+            (2.9, 0.05, 1.3, 0.7),
+            (0.3, 1.1, 2.0, 2.7, 0.6),
+            (0.25, 0.5, 0.75, 1.0, 1.25, 2.9),
+            (0.1, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8),
+            (0.15, 0.45, 0.7, 0.95, 1.3, 1.55, 1.8, 2.15, 2.5, 3.05),
+        ],
+    )
     def test_rotated_blocks_give_the_sine_product(self, lams):
         A = rotated_blocks(lams, np.random.default_rng(len(lams)))
         want = math.prod(-2j * math.sin(lam) for lam in lams)
@@ -756,27 +788,35 @@ class TestSharedResiduals:
         residual, dims = chirality_residual(SpinorSpace(2))
         assert residual >= 1 and dims == (2, 2)
 
-    def test_one_module_per_berezin_residual_and_per_criterion(self, monkeypatch):
+    def test_one_plan_per_n_built_once(self, monkeypatch):
         built = []
 
-        class Counted(ExteriorModule):
+        class Counted(SpinorSpace):
             def __init__(self, n):
                 built.append(n)
                 super().__init__(n)
 
-        monkeypatch.setattr(spinrep, "ExteriorModule", Counted)
+        spinrep._chirality_plan.cache_clear()
+        monkeypatch.setattr(spinrep, "SpinorSpace", Counted)
         berezin_residual(4, 5, seed=2)
+        berezin_residual(4, 5, seed=3)
         assert built == [4]
-        built.clear()
         assert acceptance.criterion_berezin().passed
-        assert built == [2, 4]
+        assert built == [4, 2]
+        plan = spinrep._chirality_plan(2)
+        assert plan is spinrep._chirality_plan(2) and built == [4, 2]
+        assert not any(array.flags.writeable for array in plan)
+        spinrep._chirality_plan.cache_clear()  # later tests build their plans from SpinorSpace itself
 
     def test_a_shared_module_gives_each_matrix_its_own_bits(self):
+        # every call at one n reads the one cached plan of the spinor module; a fresh plan, with the
+        # matrices in the other order, gives each the same bits
         rng = np.random.default_rng(12)
-        module = ExteriorModule(6)
-        for _ in range(3):
-            B = rng.normal(size=(6, 6))
-            assert repr(spinrep._berezin_sides(B - B.T, module)) == repr(berezin_supertrace_exp(B - B.T))
+        mats = [B - B.T for B in rng.normal(size=(3, 6, 6))]
+        shared = [repr(berezin_supertrace_exp(A)) for A in mats]
+        spinrep._chirality_plan.cache_clear()
+        assert [repr(berezin_supertrace_exp(A)) for A in mats[::-1]] == shared[::-1]
+        module = ExteriorModule(6)  # relative_supertrace's volume pairing is built once per module
         assert module._volume_pairing() is module._volume_pairing()
 
     def test_berezin_residual_is_seeded(self):
@@ -790,8 +830,8 @@ def _plant_berezin_error(monkeypatch, size=None):
     share, report rhs = lhs + 1e-9 (on size x size input only, if given)."""
     exact = spinrep._berezin_sides
 
-    def planted(A, module):
-        lhs, rhs = exact(A, module)
+    def planted(A):
+        lhs, rhs = exact(A)
         return (lhs, lhs + 1e-9) if size in (None, len(A)) else (lhs, rhs)
 
     monkeypatch.setattr(spinrep, "_berezin_sides", planted)
