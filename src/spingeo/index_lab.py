@@ -309,26 +309,3 @@ def delta_limit_error(kernel, f, t: float, x: float) -> float:
     vals = np.array([kernel(t, x, zz) * f(zz) for zz in z])
     return abs(float(np.sum(w * vals)) - f(x))
 
-
-# -- symbol checks ---------------------------------------------------------------
-
-def dirac_symbol(xi, n: int) -> np.ndarray:
-    """Principal symbol σ(D)(ξ) = i c(ξ) on the spinor module."""
-    import numpy as np
-
-    from .spinrep import SpinorSpace
-
-    space = SpinorSpace(n)
-    return 1j * space.c_vector(np.asarray(xi, dtype=float))
-
-
-def symbol_is_elliptic(xi, n: int) -> bool:
-    """Invertibility of σ(D)(ξ) for ξ ≠ 0 (σ(ξ)² = |ξ|² under our signs): every |eigenvalue| > 1e-10 |ξ|."""
-    import numpy as np
-
-    xi = np.asarray(xi, dtype=float)
-    sym = dirac_symbol(xi, n)
-    norm2 = float(xi @ xi)
-    if norm2 == 0:
-        return False
-    return bool(np.min(np.abs(np.linalg.eigvals(sym))) > 1e-10 * math.sqrt(norm2))

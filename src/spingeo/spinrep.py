@@ -379,8 +379,7 @@ def _chirality_plan(n: int) -> tuple:
     :attr:`SpinorSpace.MAX_N`; the arrays are read-only.
     """
     space = SpinorSpace(n)
-    w, _ = space._word(range(1, n + 1))
-    chirality = (((1j) ** (n // 2) * w).real < 0).astype(np.intp)
+    chirality = (space._omega()[0].real < 0).astype(np.intp)
     index, half = np.arange(space.dim), space.dim // 2
     position, gens = index >> 1, space.generators
     pairs = sorted(combinations(range(n), 2), key=lambda ij: gens[ij[0]][1] ^ gens[ij[1]][1])
@@ -431,29 +430,19 @@ class SpinorSpace:
         """Matrix of Clifford multiplication by e_i."""
         return self._fock._dense(*self.generators[i - 1])
 
-    def c_vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, coeff in enumerate(v, start=1):
-            out += coeff * self.c(i)
-        return out
+    def _omega(self) -> tuple[np.ndarray, int]:
+        """(d, m) with c(ω_C) e_s = d[s] e_{s ⊕ m}, ω_C = i^{⌊(n+1)/2⌋} e_1 ... e_n the complex volume element."""
+        w, mask = self._word(range(1, self.n + 1))
+        return (1j) ** ((self.n + 1) // 2) * w, mask
 
     def c_omega(self) -> np.ndarray:
         """Chirality operator: the action of the complex volume element."""
-        return (1j) ** ((self.n + 1) // 2) * self._fock._dense(*self._word(range(1, self.n + 1)))
+        return self._fock._dense(*self._omega())
 
     def monomial_span_dim(self) -> int:
         """Dimension of the span of all products of generators."""
         words = (self._word(combo) for r in range(self.n + 1) for combo in combinations(range(1, self.n + 1), r))
         return int(np.linalg.matrix_rank(np.array([self._fock._dense(w, m).reshape(-1) for w, m in words])))
-
-
-def chirality_split(space: SpinorSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors π± = (1 ± c(ω))/2 onto the half-spinor spaces S±."""
-    omega = space.c_omega()
-    ident = np.eye(space.dim)
-    if not np.allclose(omega @ omega, ident, atol=1e-12):
-        raise ValueError("volume element action is not an involution")
-    return (ident + omega) / 2, (ident - omega) / 2
 
 
 # -- residuals of the spinor checks, for ``spingeo spinrep`` and the battery --
@@ -475,11 +464,13 @@ def relations_residual(space: SpinorSpace) -> float:
 
 
 def chirality_residual(space: SpinorSpace) -> tuple[float, tuple[int, int]]:
-    """Worst of π±² = π±, π₊π₋ = 0 and π₊ + π₋ = I, with (dim S₊, dim S₋)."""
-    pp, pm = chirality_split(space)
-    identities = (pp @ pp - pp, pm @ pm - pm, pp @ pm, pp + pm - np.eye(space.dim))
-    residual = max(float(np.max(np.abs(m))) for m in identities)
-    return residual, (int(round(np.trace(pp).real)), int(round(np.trace(pm).real)))
+    """Worst of π±² = π±, π₊π₋ = 0 and π₊ + π₋ = I for π± = (I ± c(ω))/2, with (dim S₊, dim S₋) = (dim ±
+    tr c(ω))/2, read off the word (d, m) of c(ω): π±² - π± = ±(c(ω)² - I)/4 and π₊π₋ = (I - c(ω)²)/4,
+    π₊ + π₋ = I holds exactly, c(ω)² e_s = d[s] d[s ⊕ m] e_s, and tr c(ω) is Σd for m = 0, else 0."""
+    d, mask = space._omega()
+    residual = float(np.max(np.abs(d * d[np.arange(space.dim) ^ mask] - 1))) / 4
+    plus = int(round((space.dim + (0.0 if mask else float(d.sum().real))) / 2))
+    return residual, (plus, space.dim - plus)
 
 
 def berezin_residual(n: int, trials: int, seed: int) -> float:

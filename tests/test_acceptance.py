@@ -191,7 +191,7 @@ def test_criterion_10_sees_a_lost_cokernel(monkeypatch):
 
 
 def test_criterion_11_substitution_suites():
-    _run(acceptance.criterion_substitution_suites, 60, seed=0)
+    _run(acceptance.criterion_substitution_suites, 60)
 
 
 def test_run_all_runs_the_eleven_criteria_in_order_with_the_seed(monkeypatch):

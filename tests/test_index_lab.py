@@ -12,7 +12,6 @@ from spingeo.index_lab import (
     SUPERTRACE_TOL,
     SpectralModel,
     delta_limit_error,
-    dirac_symbol,
     dlambda_model,
     line_heat_kernel,
     mckean_singer_check,
@@ -21,7 +20,6 @@ from spingeo.index_lab import (
     semigroup_residual,
     sphere2_hodge_model,
     sphere2_tail_bound,
-    symbol_is_elliptic,
     torus2_hodge_model,
     torus_dirac_model,
 )
@@ -409,15 +407,3 @@ class TestDiracAlgebra:
         # D = Σ c(e_i) ∂_i squares to -Σ ∂_i² ⊗ I exactly when the Clifford relations hold
         assert relations_residual(SpinorSpace(2)) == 0.0
         assert relations_residual(SpinorSpace(4)) == 0.0
-
-    def test_symbol_squares_to_norm(self):
-        for n in (2, 4):
-            xi = np.arange(1.0, n + 1)
-            sym = dirac_symbol(xi, n)
-            norm2 = float(xi @ xi)
-            assert np.allclose(sym @ sym, norm2 * np.eye(sym.shape[0]))
-
-    def test_ellipticity(self):
-        assert symbol_is_elliptic([1.0, -2.0], 2)
-        assert symbol_is_elliptic([0.5, 0.0, 0.0, 3.0], 4)
-        assert not symbol_is_elliptic([0.0, 0.0], 2)

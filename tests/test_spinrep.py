@@ -20,7 +20,6 @@ from spingeo.spinrep import (
     berezin_residual,
     berezin_supertrace_exp,
     chirality_residual,
-    chirality_split,
     lie_iso,
     lie_iso_inv,
     pfaffian,
@@ -682,7 +681,7 @@ class TestSpinorSpace:
         sp = SpinorSpace(n)
         for _ in range(20):
             v = rng.normal(size=n)
-            cv = sp.c_vector(v)
+            cv = sum(coeff * sp.c(i) for i, coeff in enumerate(v, start=1))
             assert np.allclose(cv @ cv, -float(v @ v) * np.eye(sp.dim), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -719,6 +718,21 @@ class TestSpinorSpace:
         sp = SpinorSpace(20)
         arrays = [w for w, _ in sp.generators] + [w for w, _ in sp._fock._c + sp._fock._ct]
         assert all(w.shape == (sp.dim,) for w in arrays)
+
+
+def chirality_split(sp: SpinorSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The reference: the dense projectors π± = (I ± c(ω))/2 onto the half-spinor spaces S±."""
+    omega, ident = sp.c_omega(), np.eye(sp.dim)
+    return (ident + omega) / 2, (ident - omega) / 2
+
+
+class WrongFirstGenerator(SpinorSpace):
+    """A wrong module: c(e_1) planted as i·c(e_1), which squares to +I, so c(ω)² = -I."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        w, mask = self.generators[0]
+        self.generators[0] = (1j * w, mask)
 
 
 class TestChirality:
@@ -771,22 +785,33 @@ class TestSharedResiduals:
             )
             assert relations_residual(sp) == want and (want > 0) == (planted is not None)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_chirality_residual_equals_the_dense_projector_max(self, n):
+        sp = SpinorSpace(n)
+        for planted in (None, 0, n - 1):
+            if planted is not None:  # Gaussian integers still, so both sides stay exact
+                w, mask = sp.generators[planted]
+                sp.generators[planted] = (w * np.where(np.arange(sp.dim) % 3, 1, 1j), mask)
+            pp, pm = chirality_split(sp)
+            identities = (pp @ pp - pp, pm @ pm - pm, pp @ pm, pp + pm - np.eye(sp.dim))
+            want = max(float(np.max(np.abs(m))) for m in identities)
+            dims = tuple(int(round(np.trace(p).real)) for p in (pp, pm))
+            assert chirality_residual(sp) == (want, dims) and (want > 0) == (planted is not None)
+
     def test_relations_residual_at_the_largest_n_is_quick(self):
+        # and the chirality residual: both read words, so neither builds a 1024 x 1024 matrix
         sp = SpinorSpace(SpinorSpace.MAX_N)
         start = time.perf_counter()
         assert relations_residual(sp) == 0.0
+        assert chirality_residual(sp) == (0.0, (sp.dim // 2, sp.dim // 2))
         assert time.perf_counter() - start < 1.0
 
     def test_relations_residual_sees_a_wrong_generator(self):
-        sp = SpinorSpace(4)
-        w, mask = sp.generators[0]
-        sp.generators[0] = (1j * w, mask)  # now squares to +I
-        assert relations_residual(sp) >= 1
+        assert relations_residual(WrongFirstGenerator(4)) >= 1
 
-    def test_chirality_residual_sees_wrong_projectors(self, monkeypatch):
-        monkeypatch.setattr(spinrep, "chirality_split", lambda sp: (np.eye(sp.dim), np.eye(sp.dim)))
-        residual, dims = chirality_residual(SpinorSpace(2))
-        assert residual >= 1 and dims == (2, 2)
+    def test_chirality_residual_sees_wrong_projectors(self):
+        # π±² - π± = ±(c(ω)² - I)/4 = ∓I/2
+        assert chirality_residual(WrongFirstGenerator(2)) == (0.5, (1, 1))
 
     def test_one_plan_per_n_built_once(self, monkeypatch):
         built = []
@@ -868,6 +893,14 @@ class TestSharedChecksCanFail:
         assert "FAIL" in capsys.readouterr().out
         for criterion in criteria:
             assert not getattr(acceptance, f"criterion_{criterion}")().passed
+
+    def test_a_wrong_module_is_a_failed_check_not_bad_input(self, monkeypatch, capsys):
+        monkeypatch.setattr(spinrep, "SpinorSpace", WrongFirstGenerator)
+        assert main(["spinrep", "4", "--check", "chirality"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "chirality_residual = 0.5" in captured.out and captured.err == ""
+        assert not acceptance.criterion_spinor_representation().passed
+        assert not acceptance.criterion_substitution_suites().passed  # through the relations residual
 
     def test_criterion_checks_half_spinor_dimensions(self, monkeypatch):
         monkeypatch.setattr(spinrep, "chirality_residual", lambda sp: (0.0, (sp.dim, 0)))
