@@ -5,8 +5,8 @@ nonempty multiple intersections (simplices).  Cochains take multiplicative
 values in {+1, -1}, stored as GF(2) bitmasks; the coboundary is the product
 over faces, i.e. the GF(2) coboundary matrix applied to the bitmask.
 On top of this sit the first Stiefel-Whitney class (orientability of a sign
-cocycle), the second (obstruction to lifting transition signs), and the
-enumeration of spin structures, certified as the torsor under H¹.
+cocycle), a sign model of the second, and the enumeration of spin structures,
+certified as the torsor under H¹.
 """
 
 from __future__ import annotations
@@ -300,38 +300,27 @@ class SpinStructureReport(Record):
     __slots__ = _fields = ("epsilon", "w2_trivial", "count", "structures", "torsor_verified")
 
 
-def w2_cocycle(lifts: Cochain) -> Cochain:
-    """ε_{αβγ} = g̃_{γα} g̃_{βγ} g̃_{αβ} from lift signs on double overlaps.
+def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
+    """The sign model's ε = δ(lifts) and the spin-structure enumeration.
 
-    In the sign model g̃_{βα} = g̃_{αβ}^{-1} = g̃_{αβ}, so ε is exactly the
-    coboundary of the lift cochain; changing lifts changes ε by δκ.
+    ε_{αβγ} = g̃_{γα} g̃_{βγ} g̃_{αβ} with g̃_{βα} = g̃_{αβ} is the coboundary of the
+    lifts, so w₂ is reported trivial on every nerve and the count is 2^b₁
+    whatever the lifts (ROADMAP item 8 computes w₂).  The spin structures are the
+    c with δc = ε modulo coboundaries, an H¹-torsor.  Each class has exactly one
+    representative vanishing on a spanning forest (edges with independent δ₀
+    rows), so the pinned system always has a solution (lifts + δ₀s for the s
+    with δ₀s = lifts on the forest); one solution plus the span of its b₁ kernel
+    vectors gives them all, certified by :func:`_verify_torsor`.
     """
     if lifts.k != 1:
         raise ValueError("lift data lives on double overlaps")
-    return coboundary(lifts)
-
-
-def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
-    """Second Stiefel-Whitney data and the spin-structure enumeration.
-
-    If ε is trivial in H², the spin structures are the corrections c with
-    δ(c) = ε modulo coboundaries, a torsor under H¹.  Each class has exactly
-    one representative vanishing on a spanning forest (edges with independent
-    δ₀ rows): one solution of the pinned system plus each element of the span
-    of its b₁ kernel vectors, certified by :func:`_verify_torsor`.
-    """
     nerve = lifts.nerve
-    epsilon = w2_cocycle(lifts)
-    if not coboundary(epsilon).is_trivial():
-        raise ValueError("ε failed the 2-cocycle check")
+    epsilon = coboundary(lifts)
     edges = nerve.simplices_of_dim(1)
     forest: dict[int, int] = {}
     pins = [1 << i for i, row in enumerate(coboundary_matrix(nerve, 0)) if _insert(forest, row)]
     rows = pins + coboundary_matrix(nerve, 1)  # c = 0 on each forest edge, then δ₁c = ε
-    particular = gf2_solve(rows, epsilon.vector << len(pins), len(edges))
-    if particular is None:
-        return SpinStructureReport(epsilon, False, 0, [], False)
-    vectors = [particular]
+    vectors = [gf2_solve(rows, epsilon.vector << len(pins), len(edges))]
     for z in gf2_nullspace(rows, len(edges)):
         vectors += [v ^ z for v in vectors]
     structures = [Cochain.from_vector(nerve, 1, v) for v in vectors]

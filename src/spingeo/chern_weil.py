@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, pi as _PI, prod
 
 from .clifford import QI, _sign_mask
@@ -592,26 +593,17 @@ def curvature_model(name: str, r=1) -> CurvatureModel:
     if radius is None or radius <= 0:
         raise ValueError(f"radius must be a positive rational, not {r}")
     r = radius
-    if name == "sphere2":
-        m = 2
-        F = FormMatrix.zero(2, m)
-        curv = FormPoly.monomial((1, 2), m, 1 / r**2)
-        F.entries[0][1] = curv
-        F.entries[1][0] = -curv
-        return CurvatureModel("sphere2", 2, F, 4 * PI * r**2)
     if name == "torus2":
         return CurvatureModel("torus2", 2, FormMatrix.zero(2, 2), PiLaurent({0: 1}))
-    if name == "sphere4":
-        m = 4
-        F = FormMatrix.zero(4, m)
-        for a in range(1, 5):
-            for b in range(1, 5):
-                if a < b:
-                    curv = FormPoly.monomial((a, b), m, 1 / r**2)
-                    F.entries[a - 1][b - 1] = curv
-                    F.entries[b - 1][a - 1] = -curv
-        return CurvatureModel("sphere4", 4, F, Fraction(8, 3) * PI * PI * r**4)
-    raise ValueError(f"unknown curvature model {name!r}")
+    if name not in ("sphere2", "sphere4"):
+        raise ValueError(f"unknown curvature model {name!r}")
+    m = int(name[-1])
+    F = FormMatrix.zero(m, m)
+    for a, b in combinations(range(1, m + 1), 2):  # the round sphere: F_ab = e^a ∧ e^b / r²
+        curv = FormPoly.monomial((a, b), m, 1 / r**2)
+        F.entries[a - 1][b - 1] = curv
+        F.entries[b - 1][a - 1] = -curv
+    return CurvatureModel(name, m, F, 4 * PI * r**2 if m == 2 else Fraction(8, 3) * PI * PI * r**4)
 
 
 def product_model(m1: CurvatureModel, m2: CurvatureModel) -> CurvatureModel:

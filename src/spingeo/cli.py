@@ -177,19 +177,7 @@ def _cmd_cech(args) -> int:
     ]
     ok = True
     if args.w2:
-        try:
-            values = {}
-            if args.lifts:
-                pairs = _load_json(args.lifts)
-                if not isinstance(pairs, list) or not all(
-                    isinstance(p, list) and len(p) == 2 and isinstance(p[0], list) for p in pairs
-                ):
-                    raise ValueError("lifts are a list of [simplex, ±1] pairs")
-                values = {tuple(s): v for s, v in pairs}
-            lifts = cech.Cochain(nerve, 1, values)
-        except (OSError, TypeError, ValueError) as exc:
-            return _error(f"cannot load lifts: {exc}")
-        report = cech.w2_and_spin_structures(lifts)
+        report = cech.w2_and_spin_structures(cech.Cochain(nerve, 1))
         payload["w2_trivial"] = report.w2_trivial
         payload["spin_structures"] = report.count
         payload["torsor_verified"] = report.torsor_verified
@@ -197,7 +185,7 @@ def _cmd_cech(args) -> int:
             f"  w2 trivial: {report.w2_trivial}; spin structures: {report.count};"
             f" torsor verified: {report.torsor_verified}"
         )
-        ok = report.w2_trivial is False or report.torsor_verified
+        ok = report.torsor_verified
     _emit(payload, args.format, lines)
     return 0 if ok else 1
 
@@ -327,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cech", help="Čech cohomology and spin structures")
     p.add_argument("--nerve", default="circle", help="circle|sphere|torus or a JSON file")
     p.add_argument("--w2", action="store_true", help="enumerate spin structures")
-    p.add_argument("--lifts", default=None, help="JSON file of lift signs [[simplex, ±1], ...]")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=_cmd_cech)
 

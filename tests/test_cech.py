@@ -26,7 +26,6 @@ from spingeo.cech import (
     torus_nerve,
     w1,
     w2_and_spin_structures,
-    w2_cocycle,
 )
 
 
@@ -426,18 +425,18 @@ class TestW2:
             nerve = random_nerve(rng)
             lifts = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
             kappa = Cochain(nerve, 0, {t: rng.choice((1, -1)) for t in nerve.simplices_of_dim(0)})
-            shifted = lifts * coboundary(kappa)
-            assert w2_cocycle(shifted) == w2_cocycle(lifts)
+            shifted = w2_and_spin_structures(lifts * coboundary(kappa))
+            assert shifted == w2_and_spin_structures(lifts)  # field by field: ε, w₂, count, structures, torsor
 
     def test_epsilon_is_coboundary_of_lifts(self):
         nerve = torus_nerve()
         rng = random.Random(2)
         lifts = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
-        assert w2_cocycle(lifts) == coboundary(lifts)
+        assert w2_and_spin_structures(lifts).epsilon == coboundary(lifts)
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
-            w2_cocycle(Cochain(circle_nerve(), 0))
+            w2_and_spin_structures(Cochain(circle_nerve(), 0))
 
 
 class TestSpinStructures:
@@ -686,6 +685,13 @@ class TestSurfaces:
         assert [cohomology_dim(nerve, d) for d in range(3)] == [1, 2, 1]
         report = w2_and_spin_structures(Cochain(nerve, 1))
         assert report.w2_trivial and report.count == 4 and report.torsor_verified
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    def test_rp2_w2_is_not_trivial(self):
+        # On a closed surface ⟨w₂, [M]⟩ = χ(M) mod 2 (Wu's formula); χ(RP²) = 6 - 15 + 10 = 1 from the f-vector.
+        chi = 6 - len({e for t in RP2 for e in combinations(t, 2)}) + len(RP2)
+        assert chi % 2 == 1  # checked outside this xfail too, by assert_closed_surface(6, RP2, 1) below
+        assert not w2_and_spin_structures(Cochain(make_nerve(6, RP2), 1)).w2_trivial
 
     def test_rp2_dims_and_nontrivial_w1(self):
         assert_closed_surface(6, RP2, 1)

@@ -321,6 +321,41 @@ class TestPinnedGenusOutput:
         assert run_cli(capsys, argv) == (0, line + "\n")
 
 
+# `cech --nerve NAME --w2 --format json`, byte for byte.
+PINNED_CECH_W2 = {
+    "circle": '{"cohomology_dims": {"H0": 1, "H1": 1, "H2": 0}, "command": "cech", "nerve": "circle", "patches": 3, '
+              '"schema": "spingeo-report/1", "spin_structures": 2, "torsor_verified": true, "version": "0.1.0", '
+              '"w2_trivial": true}',
+    "sphere": '{"cohomology_dims": {"H0": 1, "H1": 0, "H2": 1}, "command": "cech", "nerve": "sphere", "patches": 4, '
+              '"schema": "spingeo-report/1", "spin_structures": 1, "torsor_verified": true, "version": "0.1.0", '
+              '"w2_trivial": true}',
+    "torus": '{"cohomology_dims": {"H0": 1, "H1": 2, "H2": 1}, "command": "cech", "nerve": "torus", "patches": 9, '
+             '"schema": "spingeo-report/1", "spin_structures": 4, "torsor_verified": true, "version": "0.1.0", '
+             '"w2_trivial": true}',
+}
+
+# Nerve files `cech` rejects with exit 2, as (n, file content, message).  The test id of a row is
+# "--nerve-content{n}-{message}": n is the row's place in the table as it stood when it also held the
+# rows of the former `--lifts` option, so the ids did not change when those rows went.
+BAD_NERVE_FILES = [
+    (2, {"patches": 3, "simplices": [[0, "a"]]}, "cannot load nerve"),
+    (3, [1, 2], "cannot load nerve"),
+    (6, {"patches": 3.7, "simplices": [[0, 1]]}, "patches must be an integer"),
+    (7, {"patches": "3", "simplices": [[0, 1]]}, "patches must be an integer"),
+    (8, {"patches": 3, "simplices": [[0, 1.5]]}, "must have integer vertices"),
+    (9, {"patches": 3, "simplices": [[0, 1.0], [1, 2]]}, "must have integer vertices"),
+    (10, {"patches": 3, "simplices": [[0, True], [1, 2]]}, "must have integer vertices"),
+    (11, {"patches": -1, "simplices": []}, "patches must be an integer >= 0"),
+    (12, {"patches": 3, "simplices": [[0, "a"]]}, "simplex (0, 'a') must have integer vertices"),
+    (13, {"patches": 3, "simplices": [[0, None]]}, "simplex (0, None) must have integer vertices"),
+    (14, {"patches": 3, "simplices": [0]}, "simplex 0 must be a list of vertices"),
+    (15, {"patches": 3, "simplices": 0}, "simplices must be a list of simplices"),
+    (16, [1, 2], "a nerve file holds a JSON object, not list"),
+    (17, {"simplices": []}, "a nerve file holds {patches, simplices}, not {simplices}"),
+    (18, {"patches": 3}, "a nerve file holds {patches, simplices}, not {patches}"),
+]
+
+
 class TestCech:
     def test_torus_spin_structures(self, capsys):
         code, out = run_cli(capsys, ["cech", "--nerve", "torus", "--w2", "--format", "json"])
@@ -341,41 +376,27 @@ class TestCech:
         assert code == 0
         assert json.loads(out)["cohomology_dims"]["H1"] == 1
 
+    @pytest.mark.parametrize("nerve", sorted(PINNED_CECH_W2))
+    def test_w2_json_is_pinned(self, capsys, nerve):
+        argv = ["cech", "--nerve", nerve, "--w2", "--format", "json"]
+        assert run_cli(capsys, argv) == (0, PINNED_CECH_W2[nerve] + "\n")
+
+    def test_lifts_option_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "lifts.json"
+        path.write_text(json.dumps([[[0, 1], -1]]))
+        with pytest.raises(SystemExit) as exc:
+            main(["cech", "--nerve", "circle", "--w2", "--lifts", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lifts" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "option, content, message",
-        [
-            ("--lifts", [[[0, 5], -1]], "(0, 5) is not a 1-simplex"),
-            ("--lifts", [[[0, 1], 0]], "values must be +1 or -1"),
-            ("--nerve", {"patches": 3, "simplices": [[0, "a"]]}, "cannot load nerve"),
-            ("--nerve", [1, 2], "cannot load nerve"),
-            ("--lifts", [[[0, 1], True]], "values must be +1 or -1 as ints"),
-            ("--lifts", [[[0, 1], 1.0]], "values must be +1 or -1 as ints"),
-            ("--nerve", {"patches": 3.7, "simplices": [[0, 1]]}, "patches must be an integer"),
-            ("--nerve", {"patches": "3", "simplices": [[0, 1]]}, "patches must be an integer"),
-            ("--nerve", {"patches": 3, "simplices": [[0, 1.5]]}, "must have integer vertices"),
-            ("--nerve", {"patches": 3, "simplices": [[0, 1.0], [1, 2]]}, "must have integer vertices"),
-            ("--nerve", {"patches": 3, "simplices": [[0, True], [1, 2]]}, "must have integer vertices"),
-            ("--nerve", {"patches": -1, "simplices": []}, "patches must be an integer >= 0"),
-            ("--nerve", {"patches": 3, "simplices": [[0, "a"]]}, "simplex (0, 'a') must have integer vertices"),
-            ("--nerve", {"patches": 3, "simplices": [[0, None]]}, "simplex (0, None) must have integer vertices"),
-            ("--nerve", {"patches": 3, "simplices": [0]}, "simplex 0 must be a list of vertices"),
-            ("--nerve", {"patches": 3, "simplices": 0}, "simplices must be a list of simplices"),
-            ("--nerve", [1, 2], "a nerve file holds a JSON object, not list"),
-            ("--nerve", {"simplices": []}, "a nerve file holds {patches, simplices}, not {simplices}"),
-            ("--nerve", {"patches": 3}, "a nerve file holds {patches, simplices}, not {patches}"),
-            ("--lifts", {"a": 1}, "lifts are a list of [simplex, ±1] pairs"),
-            ("--lifts", [[0, 1]], "lifts are a list of [simplex, ±1] pairs"),
-            ("--lifts", [[[0, "a"], 1]], "simplex (0, 'a') must have integer vertices"),
-        ],
+        "content, message",
+        [pytest.param(content, message, id=f"--nerve-content{n}-{message}") for n, content, message in BAD_NERVE_FILES],
     )
-    def test_bad_input_file_exits_2(self, capsys, tmp_path, option, content, message):
+    def test_bad_input_file_exits_2(self, capsys, tmp_path, content, message):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
-        if option == "--nerve":
-            argv = ["cech", "--nerve", str(path)]
-        else:
-            argv = ["cech", "--nerve", "circle", "--w2", "--lifts", str(path)]
-        code = main(argv)
+        code = main(["cech", "--nerve", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

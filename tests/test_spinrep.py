@@ -714,6 +714,11 @@ class TestSpinorSpace:
         ]
         assert sp.monomial_span_dim() == np.linalg.matrix_rank(np.array(products))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_span_equals_the_dense_rank(self, n):
+        sp = SpinorSpace(n)
+        assert sp.monomial_span_dim() == dense_span_rank(sp)
+
     def test_stores_no_dense_matrix(self):
         sp = SpinorSpace(20)
         arrays = [w for w, _ in sp.generators] + [w for w, _ in sp._fock._c + sp._fock._ct]
@@ -733,6 +738,21 @@ class WrongFirstGenerator(SpinorSpace):
         super().__init__(n)
         w, mask = self.generators[0]
         self.generators[0] = (1j * w, mask)
+
+
+class DuplicatedGenerator(SpinorSpace):
+    """A wrong module: c(e_2) planted as a copy of c(e_1), so the words span less than End(S)."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.generators[1] = self.generators[0]
+
+
+def dense_span_rank(sp: SpinorSpace) -> int:
+    """The reference: the rank of all increasing words of sp's generators as dense flattened matrices."""
+    c = [sp.c(i) for i in range(1, sp.n + 1)]
+    words = [combo for r in range(sp.n + 1) for combo in combinations(range(1, sp.n + 1), r)]
+    return int(np.linalg.matrix_rank(np.array([dense_word(c, combo, sp.dim).reshape(-1) for combo in words])))
 
 
 class TestChirality:
@@ -901,6 +921,15 @@ class TestSharedChecksCanFail:
         assert "FAIL" in captured.out and "chirality_residual = 0.5" in captured.out and captured.err == ""
         assert not acceptance.criterion_spinor_representation().passed
         assert not acceptance.criterion_substitution_suites().passed  # through the relations residual
+
+    def test_a_duplicated_generator_drops_the_span_and_fails_criterion_4(self, monkeypatch):
+        for n in (2, 4, 6):
+            sp = DuplicatedGenerator(n)
+            assert sp.monomial_span_dim() == dense_span_rank(sp) < 4 ** (n // 2)
+        monkeypatch.setattr(spinrep, "SpinorSpace", DuplicatedGenerator)
+        assert not acceptance.criterion_spinor_representation().passed  # the relations fail first
+        monkeypatch.setattr(spinrep, "relations_residual", lambda sp: 0.0)
+        assert acceptance.criterion_spinor_representation().detail == "span defect at n=2"
 
     def test_criterion_checks_half_spinor_dimensions(self, monkeypatch):
         monkeypatch.setattr(spinrep, "chirality_residual", lambda sp: (0.0, (sp.dim, 0)))
