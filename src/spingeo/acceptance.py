@@ -149,18 +149,20 @@ def criterion_clifford_relations(seed: int = 0) -> CheckResult:
 # 4 ---------------------------------------------------------------------------
 
 def criterion_spinor_representation() -> CheckResult:
-    """Spinor generators for n = 2, 4, 6: relations, span, chirality."""
+    """Spinor generators for n = 2, 4, 6: relations, dimension, chirality.  Cl^c_n ≅ M_{2^{n/2}}(C) is simple, so a
+    module where the relations hold is faithful, and irreducible exactly when dim S = 2^{n/2}: its words span End S."""
     for n in (2, 4, 6):
         sp = spinrep.SpinorSpace(n)
         residual = spinrep.relations_residual(sp)
         if residual > spinrep.RELATIONS_TOL:
             return CheckResult("spinor representation", False, f"relations residual {residual:.2e} at n={n}")
-        if sp.monomial_span_dim() != 4 ** (n // 2):
-            return CheckResult("spinor representation", False, f"span defect at n={n}")
+        if sp.dim != 2 ** (n // 2):
+            return CheckResult("spinor representation", False, f"dim S = {sp.dim}, not {2 ** (n // 2)}, at n={n}")
         residual, dims = spinrep.chirality_residual(sp)
         if residual > spinrep.CHIRALITY_TOL or dims != (sp.dim // 2, sp.dim // 2):
             return CheckResult("spinor representation", False, f"chirality fails at n={n}: {residual:.2e}, {dims}")
-    return CheckResult("spinor representation", True, "relations, 4^{n/2} span, projectors for n=2,4,6")
+    detail = "relations and dim S = 2^{n/2} (so the words span End S), projectors for n=2,4,6"
+    return CheckResult("spinor representation", True, detail)
 
 
 # 5 ---------------------------------------------------------------------------

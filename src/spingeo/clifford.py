@@ -343,11 +343,7 @@ def _numerator_loop(left, lnum: list, right, rnum: list, gaussian: bool) -> tupl
     """The generic loop on integer numerators: the blades in order of first touch and the
     sums at them, one list per component (re, im if gaussian)."""
     if not gaussian:
-        rows = [(bb, br, m) for (bb, _, m), br in zip(right, rnum)]
-        acc: dict[int, int] = {}
-        for ba, ar in zip(left, lnum):
-            for bb, br, m in rows:
-                acc[ba ^ bb] = acc.get(ba ^ bb, 0) + (-(ar * br) if (ba & m).bit_count() & 1 else ar * br)
+        acc = _loop_product(dict(zip(left, lnum)), [(bb, br, m) for (bb, _, m), br in zip(right, rnum)])
         return list(acc), [list(acc.values())]
     rows = [(bb, br, bi, m) for (bb, _, m), (br, bi) in zip(right, rnum)]
     re_acc: dict[int, int] = {}
@@ -632,22 +628,12 @@ def volume_element(n: int) -> Multivector:
 
 
 def supercommutator(a: Multivector, b: Multivector) -> Multivector:
-    """[a, b]_s = ab - (-1)^{|a||b|} ba, extended bilinearly over parities."""
+    """[a, b]_s = ab - (-1)^{|a||b|} ba, extended bilinearly over parities.
+
+    Only odd·odd pairs take the plus sign, so [a, b]_s = ab - ba + 2·b₁a₁ with a₁, b₁ the odd parts."""
     a._check_sig(b)
-    out = Multivector.zero(a.signature)
-    for pa in (0, 1):
-        xa = Multivector._make(a.signature, {bl: c for bl, c in a.terms.items() if bl.bit_count() % 2 == pa})
-        if xa.is_zero():
-            continue
-        for pb in (0, 1):
-            xb = Multivector._make(b.signature, {bl: c for bl, c in b.terms.items() if bl.bit_count() % 2 == pb})
-            if xb.is_zero():
-                continue
-            if pa and pb:
-                out = out + xa * xb + xb * xa
-            else:
-                out = out + xa * xb - xb * xa
-    return out
+    odd = lambda x: Multivector._make(x.signature, {bl: c for bl, c in x.terms.items() if bl.bit_count() & 1})
+    return a * b - b * a + 2 * (odd(b) * odd(a))
 
 
 # -- text format ------------------------------------------------------------

@@ -439,20 +439,6 @@ class SpinorSpace:
         """Chirality operator: the action of the complex volume element."""
         return self._fock._dense(*self._omega())
 
-    def monomial_span_dim(self) -> int:
-        """Dimension of the span of all products of generators.  The word (w, m) is nonzero only at (s ⊕ m, s),
-        so words of different masks have disjoint supports: the span is a direct sum over masks, the sum of
-        the ranks of each mask's w vectors.  Each word is its prefix's word times one more generator."""
-        by_mask: dict[int, list[np.ndarray]] = {}
-        stack = [(0, np.ones(self.dim), 0)]  # (last index, w, mask) of a word still to extend
-        while stack:
-            last, w, mask = stack.pop()
-            by_mask.setdefault(mask, []).append(w)
-            for i in range(last + 1, self.n + 1):
-                wi, mi = self.generators[i - 1]
-                stack.append((i, wi * w[self._fock._index ^ mi], mask ^ mi))
-        return sum(int(np.linalg.matrix_rank(np.array(ws))) for ws in by_mask.values())
-
 
 # -- residuals of the spinor checks, for ``spingeo spinrep`` and the battery --
 

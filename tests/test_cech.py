@@ -551,6 +551,49 @@ class TestSerialization:
             nerve_from_dict({"patches": patches, "simplices": [[0, 1], [1, 2], [0, 2]]})
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("an oversized nerve file reached the build")
+
+
+class TestNerveFileLimits:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"patches": cech.NERVE_MAX_PATCHES + 1, "simplices": []}, "patches must be at most 1,000,000, not 1,000,001"),
+            ({"patches": 10**8, "simplices": []}, "patches must be at most 1,000,000, not 100,000,000"),
+            ({"patches": 18, "simplices": [list(range(18))]}, "close down to more than 131,072 faces"),
+            ({"patches": 17, "simplices": [list(range(17)), [0, 1]]}, "close down to more than 131,072 faces"),
+            ({"patches": 30, "simplices": [list(range(30))]}, "close down to more than 131,072 faces"),
+            (
+                {"patches": 2**14 + 1, "simplices": [list(range(17))]},
+                "16,385 patches times 131,072 faces is over 2,147,483,648",
+            ),
+        ],
+    )
+    def test_one_past_a_limit_is_rejected_before_the_build(self, monkeypatch, data, message):
+        monkeypatch.setattr(cech, "make_nerve", refuse)
+        with pytest.raises(ValueError, match=message):
+            nerve_from_dict(data)
+
+    def test_the_limits_themselves_load(self, monkeypatch):
+        monkeypatch.setattr(cech, "NERVE_MAX_PATCHES", 4)
+        monkeypatch.setattr(cech, "NERVE_MAX_CLOSURE", 12)
+        monkeypatch.setattr(cech, "NERVE_MAX_PATCHES_TIMES_CLOSURE", 48)
+        nerve = nerve_from_dict({"patches": 4, "simplices": [[0, 1, 2], [2, 3]]})  # 2^3 + 2^2 = 12 faces
+        assert len(nerve.simplices_of_dim(1)) == 4
+        for data in ({"patches": 5, "simplices": []}, {"patches": 4, "simplices": [[0, 1, 2], [2, 3], [3]]}):
+            with pytest.raises(ValueError, match="at most 4|more than 12 faces"):
+                nerve_from_dict(data)
+        monkeypatch.setattr(cech, "NERVE_MAX_PATCHES_TIMES_CLOSURE", 47)
+        with pytest.raises(ValueError, match="4 patches times 12 faces is over 47"):
+            nerve_from_dict({"patches": 4, "simplices": [[0, 1, 2], [2, 3]]})
+
+    def test_make_nerve_stays_unbounded(self, monkeypatch):
+        for limit in ("NERVE_MAX_PATCHES", "NERVE_MAX_CLOSURE", "NERVE_MAX_PATCHES_TIMES_CLOSURE"):
+            monkeypatch.setattr(cech, limit, 1)
+        assert len(make_nerve(5, [[0, 1, 2, 3, 4]]).simplices_of_dim(4)) == 1
+
+
 # -- surfaces of known topology (Hatcher, Algebraic Topology, 2002) -------------
 
 def grid_triangles(k: int, v) -> list[tuple[int, ...]]:

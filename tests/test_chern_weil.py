@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from spingeo import chern_weil
 from spingeo.chern_weil import (
     PI,
     CurvatureModel,
@@ -817,6 +818,23 @@ class TestSerialization:
         assert model.F.is_antisymmetric()
         e = genus_eval("euler", model.F)
         assert sympy.simplify(integrate_top(e, model) - 2) == 0
+
+    def test_n_is_bounded_before_the_matrix_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oversized model file reached the build")
+
+        monkeypatch.setattr(FormMatrix, "zero", refuse)
+        for n in (chern_weil.MODEL_MAX_N + 1, 100_000):
+            with pytest.raises(ValueError, match=f"n must be at most 14, not {n}$"):
+                model_from_dict({"n": n, "entries": []})
+
+    def test_a_model_at_the_n_limit_runs(self):
+        # (S²)^7, the unit sphere's curvature in each block of two: χ = 2^7
+        n, entries = chern_weil.MODEL_MAX_N, []
+        for a in range(1, n, 2):
+            entries += [[a, a + 1, [[[a, a + 1], 1]]], [a + 1, a, [[[a, a + 1], -1]]]]
+        model = model_from_dict({"n": n, "entries": entries, "volume": "(4*pi)**7"})
+        assert integrate_top(genus_eval("euler", model.F), model) == 128
 
     def test_defaults(self):
         model = model_from_dict({"n": 2})

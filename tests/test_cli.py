@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +216,7 @@ class TestGenus:
             ({"n": 2, "entries": [], "volume": "1e400"}, "volume must be a finite expression, not '1e400'"),
             ({"n": 2, "entries": [], "volume": "2**101"}, "volume must be a finite expression, not '2**101'"),
             ({"n": 2, "entries": [[1, 2, [[[1, 2], True]]]]}, "a coefficient must be a finite expression, not True"),
+            ({"n": 15, "entries": []}, "n must be at most 14, not 15"),
         ],
     )
     def test_bad_model_file_exits_2(self, capsys, tmp_path, content, message):
@@ -336,7 +342,9 @@ PINNED_CECH_W2 = {
 
 # Nerve files `cech` rejects with exit 2, as (n, file content, message).  The test id of a row is
 # "--nerve-content{n}-{message}": n is the row's place in the table as it stood when it also held the
-# rows of the former `--lifts` option, so the ids did not change when those rows went.
+# rows of the former `--lifts` option, so the ids did not change when those rows went.  The rows one
+# past a size limit stay small enough to build in process; far larger files run under a memory cap in
+# test_oversized_files_exit_2_under_a_memory_cap.
 BAD_NERVE_FILES = [
     (2, {"patches": 3, "simplices": [[0, "a"]]}, "cannot load nerve"),
     (3, [1, 2], "cannot load nerve"),
@@ -353,6 +361,9 @@ BAD_NERVE_FILES = [
     (16, [1, 2], "a nerve file holds a JSON object, not list"),
     (17, {"simplices": []}, "a nerve file holds {patches, simplices}, not {simplices}"),
     (18, {"patches": 3}, "a nerve file holds {patches, simplices}, not {patches}"),
+    (19, {"patches": 1_000_001, "simplices": []}, "patches must be at most 1,000,000, not 1,000,001"),
+    (20, {"patches": 18, "simplices": [list(range(18))]}, "close down to more than 131,072 faces"),
+    (21, {"patches": 2**14 + 1, "simplices": [list(range(17))]}, "16,385 patches times 131,072 faces is over"),
 ]
 
 
@@ -402,6 +413,43 @@ class TestCech:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "content, h0",
+        [
+            ({"patches": 1_000_000, "simplices": []}, 1_000_000),  # the patch limit
+            ({"patches": 2**14, "simplices": [list(range(17))]}, 2**14 - 16),  # 2^17 faces, 2^31 for the product
+        ],
+    )
+    def test_nerve_files_at_the_limits_run(self, capsys, tmp_path, content, h0):
+        path = tmp_path / "nerve.json"
+        path.write_text(json.dumps(content))
+        code, out = run_cli(capsys, ["cech", "--nerve", str(path), "--format", "json"])
+        assert code == 0 and json.loads(out)["cohomology_dims"] == {"H0": h0, "H1": 0, "H2": 0}
+
+
+# Files past a limit, as (argv before the path, content): without the limits, `cech` dies of a
+# MemoryError traceback in Nerve's vertex list and `genus` in FormMatrix.zero under a memory cap.
+OVERSIZED_FILES = {
+    "nerve": (["cech", "--nerve"], {"patches": 10**8, "simplices": []}),
+    "model": (["genus", "--name", "ahat", "--model-file"], {"n": 100000, "entries": []}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_FILES))
+def test_oversized_files_exit_2_under_a_memory_cap(tmp_path, name):
+    argv, content = OVERSIZED_FILES[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    cap = 512 * 2**20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spingeo.cli", *argv, str(path)], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestIndex:

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from spingeo.clifford import QI, Multivector, Signature, blade_mul, format_mv, parse_mv
+from spingeo.clifford import QI, Multivector, Signature, blade_mul, format_mv, parse_mv, supercommutator
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -230,6 +230,27 @@ def test_product_matches_generic_loop_on_every_coefficient_mix(sig_terms):
     a, b = Multivector(sig, ta), Multivector(sig, tb)
     assert_same_terms((a * b).terms, schoolbook_product(a, b))
     assert_same_terms((b * a).terms, schoolbook_product(b, a))
+
+
+def parity_split_supercommutator(a: Multivector, b: Multivector) -> Multivector:
+    """[a, b]_s by its definition: ab - (-1)^{|a||b|} ba on each pair of parity parts."""
+    parts = [
+        [Multivector(x.signature, {bl: c for bl, c in x.terms.items() if bl.bit_count() % 2 == p}) for p in (0, 1)]
+        for x in (a, b)
+    ]
+    out = Multivector.zero(a.signature)
+    for pa, xa in enumerate(parts[0]):
+        for pb, xb in enumerate(parts[1]):
+            out = out + xa * xb - (-1) ** (pa * pb) * (xb * xa)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(operand_pairs(st.one_of(small_fractions, gaussians)))
+def test_supercommutator_matches_the_parity_split_definition(sig_terms):
+    sig, ta, tb = sig_terms
+    a, b = Multivector(sig, ta), Multivector(sig, tb)
+    assert supercommutator(a, b) == parity_split_supercommutator(a, b)
 
 
 @PROPERTY_SETTINGS

@@ -688,7 +688,7 @@ class TestSpinorSpace:
     def test_dimension_and_span(self, n):
         sp = SpinorSpace(n)
         assert sp.dim == 2 ** (n // 2)
-        assert sp.monomial_span_dim() == 4 ** (n // 2)
+        assert dense_span_rank(sp) == sp.dim**2
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_generator_relations_exact(self, n):
@@ -709,15 +709,16 @@ class TestSpinorSpace:
         c = [sp.c(i) for i in range(1, n + 1)]
         phase = (1j) ** ((n + 1) // 2)
         assert np.array_equal(sp.c_omega(), phase * dense_word(c, range(1, n + 1), sp.dim))
-        products = [
-            dense_word(c, combo, sp.dim).reshape(-1) for r in range(n + 1) for combo in combinations(range(1, n + 1), r)
-        ]
-        assert sp.monomial_span_dim() == np.linalg.matrix_rank(np.array(products))
+        combos = [combo for r in range(n + 1) for combo in combinations(range(1, n + 1), r)]
+        products = [dense_word(c, combo, sp.dim) for combo in combos]
+        for combo, product in zip(combos, products):
+            assert np.array_equal(sp._fock._dense(*sp._word(combo)), product)
+        assert np.linalg.matrix_rank(np.array([p.reshape(-1) for p in products])) == sp.dim**2
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_span_equals_the_dense_rank(self, n):
         sp = SpinorSpace(n)
-        assert sp.monomial_span_dim() == dense_span_rank(sp)
+        assert dense_span_rank(sp) == sp.dim**2 == 4 ** (n // 2)
 
     def test_stores_no_dense_matrix(self):
         sp = SpinorSpace(20)
@@ -746,6 +747,17 @@ class DuplicatedGenerator(SpinorSpace):
     def __init__(self, n):
         super().__init__(n)
         self.generators[1] = self.generators[0]
+
+
+class DoubledModule(SpinorSpace):
+    """A wrong module: S ⊕ S, each generator acting on both copies.  The relations, the chirality
+    projectors and the span of the words (4^{n/2}, the span of End(S)) all hold; only dim S is 2^{n/2+1}."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.dim *= 2
+        self._fock = ExteriorModule(self.k + 1)  # index arrays for 2^{k+1} basis vectors; the masks stay below 2^k
+        self.generators = [(np.concatenate([w, w]), mask) for w, mask in self.generators]
 
 
 def dense_span_rank(sp: SpinorSpace) -> int:
@@ -922,14 +934,25 @@ class TestSharedChecksCanFail:
         assert not acceptance.criterion_spinor_representation().passed
         assert not acceptance.criterion_substitution_suites().passed  # through the relations residual
 
-    def test_a_duplicated_generator_drops_the_span_and_fails_criterion_4(self, monkeypatch):
+    def test_a_duplicated_generator_drops_the_span_and_fails_criterion_4(self, monkeypatch, capsys):
         for n in (2, 4, 6):
-            sp = DuplicatedGenerator(n)
-            assert sp.monomial_span_dim() == dense_span_rank(sp) < 4 ** (n // 2)
+            assert dense_span_rank(DuplicatedGenerator(n)) < 4 ** (n // 2)
         monkeypatch.setattr(spinrep, "SpinorSpace", DuplicatedGenerator)
-        assert not acceptance.criterion_spinor_representation().passed  # the relations fail first
-        monkeypatch.setattr(spinrep, "relations_residual", lambda sp: 0.0)
-        assert acceptance.criterion_spinor_representation().detail == "span defect at n=2"
+        # c(e_1)c(e_2) + c(e_2)c(e_1) = 2c(e_1)² = -2I where 0 belongs
+        result = acceptance.criterion_spinor_representation()
+        assert not result.passed and result.detail == "relations residual 2.00e+00 at n=2"
+        assert main(["spinrep", "2", "--check", "relations"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_a_doubled_module_spans_end_s_but_fails_criterion_4_on_its_dimension(self, monkeypatch):
+        for n in (2, 4, 6):
+            sp = DoubledModule(n)
+            assert sp.dim == 2 ** (n // 2 + 1)
+            assert relations_residual(sp) == 0.0 and chirality_residual(sp) == (0.0, (sp.dim // 2,) * 2)
+            assert dense_span_rank(sp) == 4 ** (n // 2)  # what the retired span check compared with
+        monkeypatch.setattr(spinrep, "SpinorSpace", DoubledModule)
+        result = acceptance.criterion_spinor_representation()
+        assert not result.passed and result.detail == "dim S = 4, not 2, at n=2"
 
     def test_criterion_checks_half_spinor_dimensions(self, monkeypatch):
         monkeypatch.setattr(spinrep, "chirality_residual", lambda sp: (0.0, (sp.dim, 0)))
