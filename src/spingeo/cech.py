@@ -5,8 +5,8 @@ nonempty multiple intersections (simplices).  Cochains take multiplicative
 values in {+1, -1}, stored as GF(2) bitmasks; the coboundary is the product
 over faces, i.e. the GF(2) coboundary matrix applied to the bitmask.
 On top of this sit the first Stiefel-Whitney class (orientability of a sign
-cocycle), a sign model of the second, and the enumeration of spin structures,
-certified as the torsor under H¹.
+cocycle), a sign model of the second, and the spin structures as the torsor
+under H¹: one structure and b₁ generators, certified linearly.
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ class Cochain:
     def values(self) -> dict[tuple[int, ...], int]:
         simplices = self.nerve.simplices_of_dim(self.k)
         return {s: -1 if self.vector >> i & 1 else 1 for i, s in enumerate(simplices)}
-
-    def __getitem__(self, s) -> int:
-        return self.values[tuple(sorted(s))]
 
     def __mul__(self, other: "Cochain") -> "Cochain":
         if self.k != other.k or self.nerve != other.nerve:
@@ -295,13 +292,13 @@ def w1(transitions: Cochain) -> CohomologyClass:
 
 
 class SpinStructureReport(Record):
-    """ε, whether w₂ vanishes, and the spin structures with their count and torsor certificate."""
+    """ε, whether w₂ vanishes, the spin structures (``origin`` plus the span of ``generators``), count and certificate."""
 
-    __slots__ = _fields = ("epsilon", "w2_trivial", "count", "structures", "torsor_verified")
+    __slots__ = _fields = ("epsilon", "w2_trivial", "count", "origin", "generators", "torsor_verified")
 
 
 def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
-    """The sign model's ε = δ(lifts) and the spin-structure enumeration.
+    """The sign model's ε = δ(lifts) and the spin structures as an H¹-torsor.
 
     ε_{αβγ} = g̃_{γα} g̃_{βγ} g̃_{αβ} with g̃_{βα} = g̃_{αβ} is the coboundary of the
     lifts, so w₂ is reported trivial on every nerve and the count is 2^b₁
@@ -309,8 +306,9 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     c with δc = ε modulo coboundaries, an H¹-torsor.  Each class has exactly one
     representative vanishing on a spanning forest (edges with independent δ₀
     rows), so the pinned system always has a solution (lifts + δ₀s for the s
-    with δ₀s = lifts on the forest); one solution plus the span of its b₁ kernel
-    vectors gives them all, certified by :func:`_verify_torsor`.
+    with δ₀s = lifts on the forest): the ``origin``.  The pinned system's b₁ kernel
+    vectors, cocycles vanishing on the forest, are the ``generators``; origin plus
+    their span is every structure once, certified by :func:`_verify_torsor`.
     """
     if lifts.k != 1:
         raise ValueError("lift data lives on double overlaps")
@@ -320,28 +318,28 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     forest: dict[int, int] = {}
     pins = [1 << i for i, row in enumerate(coboundary_matrix(nerve, 0)) if _insert(forest, row)]
     rows = pins + coboundary_matrix(nerve, 1)  # c = 0 on each forest edge, then δ₁c = ε
-    vectors = [gf2_solve(rows, epsilon.vector << len(pins), len(edges))]
-    for z in gf2_nullspace(rows, len(edges)):
-        vectors += [v ^ z for v in vectors]
-    structures = [Cochain.from_vector(nerve, 1, v) for v in vectors]
+    origin = Cochain.from_vector(nerve, 1, gf2_solve(rows, epsilon.vector << len(pins), len(edges)))
+    generators = [Cochain.from_vector(nerve, 1, z) for z in gf2_nullspace(rows, len(edges))]
     stars = [0] * nerve.patches  # the certificate's im δ₀: δ₀ of a vertex is its edges
     for i, (a, b) in enumerate(edges):
         stars[a] |= 1 << i
         stars[b] |= 1 << i
-    torsor = _verify_torsor(epsilon, vectors, _echelon(stars))
-    return SpinStructureReport(epsilon, True, len(structures), structures, torsor)
+    torsor = _verify_torsor(epsilon, origin, generators, _echelon(stars))
+    return SpinStructureReport(epsilon, True, 2 ** len(generators), origin, generators, torsor)
 
 
-def _verify_torsor(epsilon: Cochain, vectors: list[int], image: dict[int, int]) -> bool:
-    """The classes of solutions of δc = ε modulo im δ₀ (echelon basis ``image``) form an
-    H¹-torsor, so vectors that solve it, are distinct modulo im δ₀ and number 2^b₁ (b₁ from
-    its own rank count: δ₁, and ``image``'s size for δ₀) are one representative of every class."""
+def _verify_torsor(epsilon: Cochain, origin: Cochain, generators: list[Cochain], image: dict[int, int]) -> bool:
+    """The classes of solutions of δc = ε modulo im δ₀ (echelon basis ``image``) form an H¹-torsor,
+    so an origin that solves it plus the span of cocycles independent modulo im δ₀ and b₁ in number
+    (b₁ from its own rank count: δ₁, and ``image``'s size for δ₀) is one representative of every class."""
     delta1 = coboundary_matrix(epsilon.nerve, 1)
     b1 = len(epsilon.nerve.simplices_of_dim(1)) - gf2_rank(delta1) - len(image)  # ker δ₁ less im δ₀
+    image = dict(image)
     return (
-        all(_apply(delta1, v) == epsilon.vector for v in vectors)
-        and len({_reduce(v, image) for v in vectors}) == len(vectors)
-        and len(vectors) == 2**b1
+        _apply(delta1, origin.vector) == epsilon.vector
+        and not any(_apply(delta1, z.vector) for z in generators)
+        and len(generators) == b1
+        and all(_insert(image, z.vector) for z in generators)
     )
 
 
@@ -381,6 +379,9 @@ BUILTIN_NERVES = {
 #: to, counted with repeats) and product of the two in a nerve file.  A file at any one limit loads and
 #: ranks its coboundaries in under 1 s (2 cores, Python 3.11): δ₀ keeps a patches-bit row per edge.
 NERVE_MAX_PATCHES, NERVE_MAX_CLOSURE, NERVE_MAX_PATCHES_TIMES_CLOSURE = 1_000_000, 1 << 17, 1 << 31
+#: Largest b₁ × (edges + triangles) for ``cech --w2``, about the row operations of the generators' back substitution
+#: and of the certificate: at most 0.6 s of them at the limit (2 cores, Python 3.11), and 2^b₁ stays printable.
+NERVE_MAX_SPIN_WORK = 1_000_000
 
 
 def nerve_from_dict(data: dict) -> Nerve:

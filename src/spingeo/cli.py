@@ -166,6 +166,9 @@ def _cmd_cech(args) -> int:
         except (OSError, TypeError, ValueError) as exc:
             return _error(f"cannot load nerve: {exc}")
     dims = {f"H{k}": dim for k, dim in enumerate(cech.cohomology_dims(nerve, 2))}
+    cells = len(nerve.simplices_of_dim(1)) + len(nerve.simplices_of_dim(2))
+    if args.w2 and dims["H1"] * cells > cech.NERVE_MAX_SPIN_WORK:
+        return _error(f"cech --w2: b1 = {dims['H1']:,} times {cells:,} edges and triangles is over {cech.NERVE_MAX_SPIN_WORK:,}")
     payload = {
         "command": "cech",
         "nerve": args.nerve,

@@ -174,10 +174,7 @@ class TestCoboundary:
     def test_vertex_coboundary_example(self):
         nerve = circle_nerve()
         s = Cochain(nerve, 0, {(1,): -1})
-        d = coboundary(s)
-        assert d[(0, 1)] == -1
-        assert d[(1, 2)] == -1
-        assert d[(0, 2)] == 1
+        assert coboundary(s).values == {(0, 1): -1, (0, 2): 1, (1, 2): -1}
 
     def test_one_cochain_on_the_sphere_by_hand(self):
         # each triangle multiplies the signs of its three edges:
@@ -426,7 +423,7 @@ class TestW2:
             lifts = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
             kappa = Cochain(nerve, 0, {t: rng.choice((1, -1)) for t in nerve.simplices_of_dim(0)})
             shifted = w2_and_spin_structures(lifts * coboundary(kappa))
-            assert shifted == w2_and_spin_structures(lifts)  # field by field: ε, w₂, count, structures, torsor
+            assert shifted == w2_and_spin_structures(lifts)  # field by field: ε, w₂, count, origin, generators, torsor
 
     def test_epsilon_is_coboundary_of_lifts(self):
         nerve = torus_nerve()
@@ -473,8 +470,17 @@ class TestSpinStructures:
         rng = random.Random(6)
         lifts = Cochain(nerve, 1, {s: rng.choice((1, -1)) for s in nerve.simplices_of_dim(1)})
         report = w2_and_spin_structures(lifts)
-        for c in report.structures:
-            assert coboundary(c) == report.epsilon
+        assert coboundary(report.origin) == report.epsilon
+        assert len(report.generators) == 2
+        assert all(coboundary(z).is_trivial() for z in report.generators)
+
+
+def torsor_elements(origin: int, generators: list[int]) -> list[int]:
+    """origin plus the XOR of each subset of the generators, one entry per subset: repeats stay."""
+    return [
+        reduce(xor, (z for i, z in enumerate(generators) if bits >> i & 1), origin)
+        for bits in range(1 << len(generators))
+    ]
 
 
 def all_pairs_torsor(nerve: Nerve, eps: int, vectors: list[int]) -> bool:
@@ -508,18 +514,28 @@ class TestTorsorCertificate:
             vertices = [Cochain.from_vector(nerve, 0, 1 << i) for i in range(nerve.patches)]
             stars = [coboundary(v).to_vector() for v in vertices]
             image = cech._echelon(stars)
-            vectors = [c.to_vector() for c in report.structures]
-            first = vectors[0]
-            candidates = [
-                vectors,
-                vectors[:-1],  # one class missing
-                vectors + [first],  # one class twice
-                [first ^ stars[0]] + vectors[1:],  # another representative of the same class
-                [first ^ 1] + vectors[1:],  # first edge flipped
-            ]
-            for i, candidate in enumerate(candidates):
-                want = all_pairs_torsor(nerve, report.epsilon.to_vector(), candidate)
-                assert cech._verify_torsor(report.epsilon, candidate, image) == want, (nerve, i)
+            origin, gens = report.origin.to_vector(), [z.to_vector() for z in report.generators]
+            candidates = [(origin, gens), (origin ^ 1, gens)]  # as built; the origin's first edge flipped
+            if gens:
+                star = next(star for star in stars if star)
+                candidates += [
+                    (origin, gens[:-1]),  # one generator dropped
+                    (origin, gens + gens[:1]),  # one generator repeated, b₁ + 1 in all
+                    (origin, [gens[0] ^ star] + gens[1:]),  # a generator plus a star: the same classes
+                    (origin, [star] + gens[1:]),  # a generator replaced by a coboundary
+                    (origin, [gens[0] ^ 1] + gens[1:]),  # a generator's first edge flipped
+                ]
+            if len(gens) > 1:
+                candidates += [
+                    (origin, [gens[0] ^ gens[1]] + gens[1:]),  # a generator replaced by its sum with another
+                    (origin, gens[1:2] + gens[1:]),  # one generator repeated in another's place, b₁ in all
+                ]
+            for i, (o, g) in enumerate(candidates):
+                want = all_pairs_torsor(nerve, report.epsilon.to_vector(), torsor_elements(o, g))
+                got = cech._verify_torsor(
+                    report.epsilon, Cochain.from_vector(nerve, 1, o), [Cochain.from_vector(nerve, 1, z) for z in g], image
+                )
+                assert got == want, (nerve, i)
                 outcomes.add(want)
             assert report.torsor_verified
         assert outcomes == {True, False}
@@ -701,7 +717,7 @@ class TestSurfaces:
         assert report.w2_trivial and report.count == 4 and report.torsor_verified
         assert elapsed < 5.0, f"60x60 torus cohomology and spin structures took {elapsed:.2f} s"
 
-    @pytest.mark.parametrize("g", [2, 3, 5])
+    @pytest.mark.parametrize("g", [2, 3, 5, 12])
     def test_genus_g_surface(self, g):
         vertices, tris = genus_surface(g)
         assert_closed_surface(vertices, tris, 2 - 2 * g)
@@ -715,8 +731,21 @@ class TestSurfaces:
         assert report.w2_trivial
         assert report.count == 2 ** (2 * g)
         assert report.torsor_verified
-        assert all(coboundary(c) == report.epsilon for c in report.structures)
+        assert coboundary(report.origin) == report.epsilon
+        assert len(report.generators) == 2 * g
+        assert all(coboundary(z).is_trivial() for z in report.generators)
         assert elapsed < 1.0, f"genus-{g} spin structures took {elapsed:.2f} s"
+
+    def test_punctured_torus_grid_within_budget(self):
+        # 12 triangles, no two sharing an edge, cut from the 30 x 30 torus: χ = -12, so b₁ = 13 and H² = 0
+        tris = torus_grid(30)
+        nerve = make_nerve(900, [t for i, t in enumerate(tris) if i % 150])
+        assert cohomology_dims(nerve, 2) == [1, 13, 0]
+        start = time.perf_counter()
+        report = w2_and_spin_structures(Cochain(nerve, 1))
+        elapsed = time.perf_counter() - start
+        assert report.count == 2**13 and len(report.generators) == 13 and report.torsor_verified
+        assert elapsed < 0.5, f"the punctured 30x30 torus's spin structures took {elapsed:.2f} s"
 
     def test_klein_bottle(self):
         tris = klein_grid(4)

@@ -1,14 +1,16 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from spingeo import index_lab
+from spingeo import cech, index_lab
 from spingeo.cli import main
 
 
@@ -340,6 +342,28 @@ PINNED_CECH_W2 = {
              '"w2_trivial": true}',
 }
 
+# `cech --nerve FILE --w2 --format json` on the complete graph K₈ (b₁ = 21), byte for byte.
+PINNED_K8_W2 = (
+    '{{"cohomology_dims": {{"H0": 1, "H1": 21, "H2": 0}}, "command": "cech", "nerve": "{path}", "patches": 8, '
+    '"schema": "spingeo-report/1", "spin_structures": 2097152, "torsor_verified": true, "version": "0.1.0", '
+    '"w2_trivial": true}}'
+)
+
+
+def chorded_path(patches: int, chords: int) -> dict:
+    """A nerve file: the path through the patches and the first `chords` of the chords (i, i + 2), (i, i + 3), ...
+
+    The graph is connected, so b₁ = chords and b₁ × (edges + triangles) = chords × (patches - 1 + chords)."""
+    pairs = islice(([i, i + step] for step in range(2, patches) for i in range(patches - step)), chords)
+    return {"patches": patches, "simplices": [[i, i + 1] for i in range(patches - 1)] + list(pairs)}
+
+
+def random_tetrahedra() -> dict:
+    """A nerve file of 8,192 random tetrahedra on 2,000 patches, within every file limit; b₁ = 22,011."""
+    rng = random.Random(0)
+    return {"patches": 2000, "simplices": [rng.sample(range(2000), 4) for _ in range(8192)]}
+
+
 # Nerve files `cech` rejects with exit 2, as (n, file content, message).  The test id of a row is
 # "--nerve-content{n}-{message}": n is the row's place in the table as it stood when it also held the
 # rows of the former `--lifts` option, so the ids did not change when those rows went.  The rows one
@@ -364,6 +388,12 @@ BAD_NERVE_FILES = [
     (19, {"patches": 1_000_001, "simplices": []}, "patches must be at most 1,000,000, not 1,000,001"),
     (20, {"patches": 18, "simplices": [list(range(18))]}, "close down to more than 131,072 faces"),
     (21, {"patches": 2**14 + 1, "simplices": [list(range(17))]}, "16,385 patches times 131,072 faces is over"),
+]
+
+
+# Nerve files `cech --w2` rejects with exit 2, past NERVE_MAX_SPIN_WORK = 10^6, as (name, file content, message).
+BAD_W2_NERVE_FILES = [
+    ("chorded-path", chorded_path(451, 801), "b1 = 801 times 1,251 edges and triangles is over 1,000,000"),
 ]
 
 
@@ -392,6 +422,15 @@ class TestCech:
         argv = ["cech", "--nerve", nerve, "--w2", "--format", "json"]
         assert run_cli(capsys, argv) == (0, PINNED_CECH_W2[nerve] + "\n")
 
+    def test_complete_graph_k8_is_pinned_and_quick(self, capsys, tmp_path):
+        path = tmp_path / "k8.json"
+        path.write_text(json.dumps({"patches": 8, "simplices": [[a, b] for a in range(8) for b in range(a + 1, 8)]}))
+        start = time.perf_counter()
+        result = run_cli(capsys, ["cech", "--nerve", str(path), "--w2", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        assert result == (0, PINNED_K8_W2.format(path=path) + "\n")
+        assert elapsed < 1.0, f"cech --w2 on K8 took {elapsed:.2f} s"
+
     def test_lifts_option_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "lifts.json"
         path.write_text(json.dumps([[[0, 1], -1]]))
@@ -415,6 +454,38 @@ class TestCech:
         assert message in captured.err
 
     @pytest.mark.parametrize(
+        "content, message", [pytest.param(content, message, id=name) for name, content, message in BAD_W2_NERVE_FILES]
+    )
+    def test_past_the_spin_bound_exits_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code = main(["cech", "--nerve", str(path), "--w2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: cech --w2: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_a_nerve_file_at_the_spin_bound_runs(self, capsys, tmp_path):
+        path = tmp_path / "nerve.json"
+        path.write_text(json.dumps(chorded_path(451, 800)))  # b₁ = 800, 1,250 edges: 10^6, the bound itself
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["cech", "--nerve", str(path), "--w2", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        data = json.loads(out)
+        assert code == 0 and data["cohomology_dims"]["H1"] == 800
+        assert data["spin_structures"] == 2**800 and data["torsor_verified"] is True
+        assert elapsed < 1.0, f"cech --w2 at the spin bound took {elapsed:.2f} s"
+
+    def test_the_spin_bound_loads_when_small(self, capsys, monkeypatch):
+        monkeypatch.setattr(cech, "NERVE_MAX_SPIN_WORK", 90)  # the torus: b₁ = 2 times 27 edges and 18 triangles
+        argv = ["cech", "--nerve", "torus", "--w2", "--format", "json"]
+        assert run_cli(capsys, argv) == (0, PINNED_CECH_W2["torus"] + "\n")
+        monkeypatch.setattr(cech, "NERVE_MAX_SPIN_WORK", 89)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cech --w2: b1 = 2 times 45 edges and triangles is over 89\n"
+        assert run_cli(capsys, ["cech", "--nerve", "torus"])[0] == 0  # the bound is for --w2 only
+
+    @pytest.mark.parametrize(
         "content, h0",
         [
             ({"patches": 1_000_000, "simplices": []}, 1_000_000),  # the patch limit
@@ -429,10 +500,13 @@ class TestCech:
 
 
 # Files past a limit, as (argv before the path, content): without the limits, `cech` dies of a
-# MemoryError traceback in Nerve's vertex list and `genus` in FormMatrix.zero under a memory cap.
+# MemoryError traceback in Nerve's vertex list and `genus` in FormMatrix.zero under a memory cap, and
+# `cech --w2` on the tetrahedra (b₁ about 22,000) runs for minutes in the spin structures' nullspace.
 OVERSIZED_FILES = {
     "nerve": (["cech", "--nerve"], {"patches": 10**8, "simplices": []}),
     "model": (["genus", "--name", "ahat", "--model-file"], {"n": 100000, "entries": []}),
+    "spin": (["cech", "--w2", "--nerve"], chorded_path(451, 801)),
+    "tetrahedra": (["cech", "--w2", "--nerve"], random_tetrahedra()),
 }
 
 
