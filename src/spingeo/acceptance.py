@@ -312,7 +312,8 @@ def criterion_cech(seed: int = 0) -> CheckResult:
         patches = rng.randint(3, 6)
         chosen = [s for size, chance in ((4, 0.25), (3, 0.5), (2, 0.5))
                   for s in combinations(range(patches), size) if rng.random() < chance]
-        nerve = cech.make_nerve(patches, chosen)
+        closed = {face for s in chosen for size in range(2, len(s) + 1) for face in combinations(s, size)}
+        nerve = cech.Nerve._make(patches, tuple(sorted(closed, key=lambda t: (len(t), t))))
         lower = cech.coboundary_matrix(nerve, 0)
         for k in (0, 1):
             upper = cech.coboundary_matrix(nerve, k + 1)

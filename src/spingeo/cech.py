@@ -11,6 +11,7 @@ under H¹: one structure and b₁ generators, certified linearly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 
 from .records import FrozenRecord, Record
@@ -159,6 +160,8 @@ def coboundary(sigma: Cochain) -> Cochain:
 
 def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
     """GF(2) matrix of δ_k: one row bitmask over the k-simplices per (k+1)-simplex."""
+    if k == 0:  # vertex (i,) is column i
+        return [1 << a | 1 << b for a, b in nerve._by_dim.get(1, ())]
     col_index = {s: i for i, s in enumerate(nerve._by_dim.get(k, ()))}
     rows = []
     for s in nerve._by_dim.get(k + 1, ()):
@@ -169,39 +172,43 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[int]:
     return rows
 
 
+def _spanning_forest(nerve: Nerve) -> list[int]:
+    """The edges, by number, that join two components of the edges before them (union-find): rank δ₀ many."""
+    parent = list(range(nerve.patches))
+    forest = []
+    for i, (a, b) in enumerate(nerve._by_dim.get(1, ())):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest.append(i)
+    return forest
+
+
 # -- GF(2) elimination on row bitmasks -----------------------------------------
 # An echelon basis maps each pivot column to its row, whose highest set bit it
-# is; rows are not reduced against each other.  A row touches no bit above its
-# pivot, so clearing v's pivot bits from the highest downward, rescanning after
-# each XOR, leaves the unique element of v + span with no pivot bit set: a
-# normal form without full reduction.  Pivoting on the highest bit is the
-# reduction of persistent homology (Edelsbrunner-Letscher-Zomorodian 2002):
-# on coboundary matrices, whose rows and columns are simplices in sorted
-# order, it keeps the basis rows sparse where the lowest bit fills them in.
+# is.  A row joins the basis once XORs with basis rows leave its highest bit on
+# no pivot: no row touches a bit above its pivot, so a nonzero combination of
+# them has the highest of their pivots as its highest bit, and a row that
+# reduces to 0 was in the span.  No full normal form is kept: scanning every
+# bit of every row was most of the cost.  A row only gets shorter as it is
+# reduced, so its Python int stays short; the lowest bit would keep each row
+# as wide as the matrix, and measured 10-30 times slower on dense nerves.
 # Keys are column numbers, not the bits themselves: hashing a small int is
 # cheaper than hashing a wide power of two.
 
-def _reduce(v: int, basis: dict[int, int]) -> int:
-    """Normal form of v modulo the span of an echelon basis: no pivot bit left set."""
-    bits = v  # v's bits not yet scanned
-    while bits:
-        col = bits.bit_length() - 1
-        row = basis.get(col)
-        if row:
-            v ^= row
-            bits ^= row
-        else:
-            bits ^= 1 << col
-    return v
-
-
 def _insert(basis: dict[int, int], row: int) -> bool:
-    """Add row's normal form to the echelon basis in place; False when row was in the span."""
-    row = _reduce(row, basis)
-    if not row:
-        return False
-    basis[row.bit_length() - 1] = row
-    return True
+    """Add row, reduced, to the echelon basis in place; False when row was in the span."""
+    while row:
+        col = row.bit_length() - 1
+        pivot = basis.get(col)
+        if not pivot:
+            basis[col] = row
+            return True
+        row ^= pivot
+    return False
 
 
 def _echelon(rows) -> dict[int, int]:
@@ -211,13 +218,13 @@ def _echelon(rows) -> dict[int, int]:
     return basis
 
 
-def _back_substitute(basis: dict[int, int], x: int) -> int:
-    """x plus each pivot bit, lowest first, whose row has odd parity against x: every row ends even.
+def _back_substitute(pivots: list[tuple[int, int]], x: int) -> int:
+    """x plus each pivot bit, over (column, row) pivots lowest first, whose row has odd parity against x.
 
     A row touches no bit above its pivot, so once the lower pivots are settled
-    only its own pivot bit can still change its parity."""
-    for col in sorted(basis):
-        if (basis[col] & x).bit_count() & 1:
+    only its own pivot bit can still change its parity: every row ends even."""
+    for col, row in pivots:
+        if (row & x).bit_count() & 1:
             x |= 1 << col
     return x
 
@@ -226,43 +233,53 @@ def gf2_rank(rows: list[int]) -> int:
     return len(_echelon(rows))
 
 
-def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
-    """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None.
+def _solutions(rows: list[int], rhs: int, ncols: int) -> tuple[int | None, Iterator[int]]:
+    """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None, and a lazy basis of ker(rows).
 
-    Row r is shifted up one column and carries rhs bit r as a flag in column 0,
-    below every column of x: no solution exactly when the flag alone becomes a
-    pivot, else back substitution from the flag, shifted back down."""
+    One echelon serves both.  Row r is shifted up one column and carries rhs bit r
+    as a flag in column 0, below every column of x: no solution exactly when the
+    flag alone becomes a pivot, else back substitution from the flag, shifted back
+    down (x = 0 when rhs = 0).  The kernel is back substitution from each free column."""
     if any(row >> ncols for row in rows):
         raise ValueError(f"a row has bits outside the {ncols} columns")
     basis = _echelon(row << 1 | rhs >> r & 1 for r, row in enumerate(rows))
-    if 0 in basis:
-        return None
-    return _back_substitute(basis, 1) >> 1
+    pivots = sorted(basis.items())
+    x = 0 if not rhs else None if 0 in basis else _back_substitute(pivots, 1) >> 1
+    return x, (_back_substitute(pivots, 2 << c) >> 1 for c in range(ncols) if c + 1 not in basis)
+
+
+def gf2_solve(rows: list[int], rhs: int, ncols: int) -> int | None:
+    """One x with rows · x = rhs over GF(2) (bit r of rhs for row r), or None."""
+    return _solutions(rows, rhs, ncols)[0]
 
 
 def gf2_nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of ker(rows) over GF(2): back substitution from each free column."""
-    if any(row >> ncols for row in rows):
-        raise ValueError(f"a row has bits outside the {ncols} columns")
-    basis = _echelon(rows)
-    return [_back_substitute(basis, 1 << c) for c in range(ncols) if c not in basis]
+    """Basis of ker(rows) over GF(2)."""
+    return list(_solutions(rows, 0, ncols)[1])
 
 
 def cohomology_dim(nerve: Nerve, k: int) -> int:
     """dim_{GF(2)} H^k of the nerve's Čech complex."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ker = len(nerve.simplices_of_dim(k)) - gf2_rank(coboundary_matrix(nerve, k))
-    if k == 0:
-        return ker
-    return ker - gf2_rank(coboundary_matrix(nerve, k - 1))
+    return cohomology_dims(nerve, k)[k]
 
 
 def cohomology_dims(nerve: Nerve, top: int) -> list[int]:
-    """[dim H^0, ..., dim H^top], building and ranking each δ_k, k ≤ top, once."""
+    """[dim H^0, ..., dim H^top], from the ranks of δ_0, ..., δ_top.
+
+    rank δ₀ is the size of a spanning forest.  Each δ_k, k = top+1 down to 1, is
+    eliminated once, without the rows that are pivot columns of δ_{k+1}'s echelon
+    (clearing, Chen-Kerber 2011): such a pivot p is the highest face in the boundary
+    of a chain c, and δδc = 0 makes δ_k's row p the sum of its rows for c's lower
+    faces, so the rank stays.  On chains such as stacked tetrahedra (i, ..., i+3)
+    these are the rows that fill in."""
     if top < 0:
         raise ValueError("top must be nonnegative")
-    ranks = [gf2_rank(coboundary_matrix(nerve, k)) for k in range(top + 1)]
+    ranks, echelon = {0: len(_spanning_forest(nerve))}, {}
+    for k in range(top + 1, 0, -1) if top else ():
+        echelon = _echelon(row for i, row in enumerate(coboundary_matrix(nerve, k)) if i not in echelon)
+        ranks[k] = len(echelon)
     return [len(nerve.simplices_of_dim(k)) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
 
 
@@ -315,11 +332,11 @@ def w2_and_spin_structures(lifts: Cochain) -> SpinStructureReport:
     nerve = lifts.nerve
     epsilon = coboundary(lifts)
     edges = nerve.simplices_of_dim(1)
-    forest: dict[int, int] = {}
-    pins = [1 << i for i, row in enumerate(coboundary_matrix(nerve, 0)) if _insert(forest, row)]
+    pins = [1 << i for i in _spanning_forest(nerve)]
     rows = pins + coboundary_matrix(nerve, 1)  # c = 0 on each forest edge, then δ₁c = ε
-    origin = Cochain.from_vector(nerve, 1, gf2_solve(rows, epsilon.vector << len(pins), len(edges)))
-    generators = [Cochain.from_vector(nerve, 1, z) for z in gf2_nullspace(rows, len(edges))]
+    origin, kernel = _solutions(rows, epsilon.vector << len(pins), len(edges))
+    origin = Cochain.from_vector(nerve, 1, origin)
+    generators = [Cochain.from_vector(nerve, 1, z) for z in kernel]
     stars = [0] * nerve.patches  # the certificate's im δ₀: δ₀ of a vertex is its edges
     for i, (a, b) in enumerate(edges):
         stars[a] |= 1 << i
@@ -376,8 +393,9 @@ BUILTIN_NERVES = {
 
 
 #: Largest patch count, closure size Σ 2^{len s} over the given simplices s (the faces they close down
-#: to, counted with repeats) and product of the two in a nerve file.  A file at any one limit loads and
-#: ranks its coboundaries in under 1 s (2 cores, Python 3.11): δ₀ keeps a patches-bit row per edge.
+#: to, counted with repeats) and product of the two in a nerve file.  The files measured at each limit load
+#: and rank in under 1 s (2 cores, Python 3.11), not every file: see ROADMAP item 24.  The product bounds
+#: ``w1``'s δ₀, a patches-bit row per edge; the ranks take δ₀'s from a spanning forest and never build it.
 NERVE_MAX_PATCHES, NERVE_MAX_CLOSURE, NERVE_MAX_PATCHES_TIMES_CLOSURE = 1_000_000, 1 << 17, 1 << 31
 #: Largest b₁ × (edges + triangles) for ``cech --w2``, about the row operations of the generators' back substitution
 #: and of the certificate: at most 0.6 s of them at the limit (2 cores, Python 3.11), and 2^b₁ stays printable.
